@@ -9,26 +9,37 @@
 // The two executors are bit-identical by contract (DESIGN.md §12), so
 // the score columns are mode-independent.
 //
+// The sample sweep and the feature sweep share one point (300x6 quick,
+// 500x8 --full); each distinct point runs once and both sweeps print
+// their rows from that result.
+//
 // --pipeline-smoke turns the harness into the CI gate used by
 // tools/check.sh --suite release: one large synthetic point (n >= 10k)
-// run under both modes, asserting bit-identical results and emitting a
-// JSONL line (BENCH_pipeline.json schema, see tools/bench_schema_check):
+// run several times under both modes in alternating order, asserting
+// bit-identical results on every run and emitting a JSONL line
+// (BENCH_pipeline.json schema, see tools/bench_schema_check) with the
+// median wall time of each mode:
 //
 //   {"bench": "pipeline_smoke", "samples": ..., "features": ...,
-//    "threads": ..., "cpus": ..., "sync_seconds": ...,
+//    "threads": ..., "cpus": ..., "runs": ..., "sync_seconds": ...,
 //    "async_seconds": ..., "speedup": ..., "seconds": ...,
 //    "identical": true}
 //
-// The wall-clock requirement (async <= sync) is only enforced when the
-// machine has >= 4 hardware threads: with fewer cores there is no
-// physical parallelism to win, and the gate would only measure noise.
+// The wall-clock requirement (median async <= 1.05x median sync) is only
+// enforced when the machine has >= 4 hardware threads: with fewer cores
+// there is no physical parallelism to win, and the gate would only
+// measure noise.
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <thread>
+#include <utility>
 
 #include "bench/bench_util.h"
+#include "core/stats.h"
 #include "core/stopwatch.h"
 #include "core/string_util.h"
 #include "core/table_printer.h"
@@ -106,6 +117,7 @@ void RunFigure(const BenchConfig& config) {
   const FpeBundle bundle =
       PretrainFpeBundle(config, {hashing::MinHashScheme::kCcws});
 
+  // Sample sweep, then feature sweep; they share one point.
   std::vector<ScalePoint> points;
   if (config.full) {
     points = {{250, 8}, {500, 8}, {1000, 8}, {2000, 8},
@@ -114,10 +126,13 @@ void RunFigure(const BenchConfig& config) {
     points = {{150, 6}, {300, 6}, {600, 6}, {300, 6}, {300, 12}, {300, 18}};
   }
 
-  TablePrinter table({"Samples", "Features", "NFS score", "E-AFE score",
-                      "Score delta", "NFS time (s)", "E-AFE sync (s)",
-                      "E-AFE async (s)", "Pipe speedup", "vs NFS"});
+  // Table row per distinct point, filled once and printed for every
+  // sweep entry that names it.
+  std::map<std::pair<size_t, size_t>, std::vector<std::string>> rows;
   for (const ScalePoint& point : points) {
+    const std::pair<size_t, size_t> key{point.samples, point.features};
+    // Shared point already run; a failed point keeps an empty row.
+    if (!rows.try_emplace(key).second) continue;
     auto dataset = MakeScaleDataset(config, point);
     if (!dataset.ok()) continue;
 
@@ -135,18 +150,27 @@ void RunFigure(const BenchConfig& config) {
                    point.samples, point.features);
       std::exit(1);
     }
-    table.AddRow(
-        {std::to_string(point.samples), std::to_string(point.features),
-         TablePrinter::Num(nfs->best_score),
-         TablePrinter::Num(eafe_async->best_score),
-         StrFormat("%+.3f", eafe_async->best_score - nfs->best_score),
-         StrFormat("%.2f", nfs->total_seconds),
-         StrFormat("%.2f", eafe_sync->total_seconds),
-         StrFormat("%.2f", eafe_async->total_seconds),
-         StrFormat("%.2fx", eafe_sync->total_seconds /
-                                std::max(eafe_async->total_seconds, 1e-9)),
-         StrFormat("%.2fx", nfs->total_seconds /
-                                std::max(eafe_async->total_seconds, 1e-9))});
+    rows[key] = {
+        std::to_string(point.samples), std::to_string(point.features),
+        TablePrinter::Num(nfs->best_score),
+        TablePrinter::Num(eafe_async->best_score),
+        StrFormat("%+.3f", eafe_async->best_score - nfs->best_score),
+        StrFormat("%.2f", nfs->total_seconds),
+        StrFormat("%.2f", eafe_sync->total_seconds),
+        StrFormat("%.2f", eafe_async->total_seconds),
+        StrFormat("%.2fx", eafe_sync->total_seconds /
+                               std::max(eafe_async->total_seconds, 1e-9)),
+        StrFormat("%.2fx", nfs->total_seconds /
+                               std::max(eafe_async->total_seconds, 1e-9))};
+  }
+
+  TablePrinter table({"Samples", "Features", "NFS score", "E-AFE score",
+                      "Score delta", "NFS time (s)", "E-AFE sync (s)",
+                      "E-AFE async (s)", "Pipe speedup", "vs NFS"});
+  for (const ScalePoint& point : points) {
+    const std::vector<std::string>& row =
+        rows[{point.samples, point.features}];
+    if (!row.empty()) table.AddRow(row);
   }
   table.Print();
   std::printf(
@@ -155,8 +179,10 @@ void RunFigure(const BenchConfig& config) {
       "worker count once per-candidate evaluations dominate the epoch.\n");
 }
 
-/// CI smoke: one n>=10k point, both modes, bit-identity asserted, one
-/// JSONL line appended to --out. Returns the process exit code.
+/// CI smoke: one n>=10k point, several runs per mode in alternating
+/// order, bit-identity asserted on every run, median wall times
+/// compared, one JSONL line appended to --out. Returns the process exit
+/// code.
 int RunPipelineSmoke(BenchConfig config, const std::string& out_path) {
   // A large-sample point makes the eval stage dominate; trimmed budgets
   // keep the gate affordable on the CI box.
@@ -173,32 +199,48 @@ int RunPipelineSmoke(BenchConfig config, const std::string& out_path) {
   }
 
   // NFS evaluates every generated candidate — the heaviest per-epoch
-  // pipeline load of all methods, and no FPE pretraining cost.
-  Stopwatch sync_watch;
-  auto sync_result = RunWithMode("NFS", config, nullptr, *dataset,
-                                 afe::PipelineMode::kSync);
-  const double sync_seconds = sync_watch.ElapsedSeconds();
-  Stopwatch async_watch;
-  auto async_result = RunWithMode("NFS", config, nullptr, *dataset,
-                                  afe::PipelineMode::kAsync);
-  const double async_seconds = async_watch.ElapsedSeconds();
-  if (!sync_result.ok() || !async_result.ok()) {
-    std::fprintf(stderr, "smoke run failed: %s / %s\n",
-                 sync_result.status().ToString().c_str(),
-                 async_result.status().ToString().c_str());
-    return 1;
+  // pipeline load of all methods, and no FPE pretraining cost. Pairs
+  // alternate which mode runs first, so warm-up and background drift
+  // fall on both sides, and the gate compares medians rather than one
+  // run each.
+  constexpr int kPairs = 5;
+  std::vector<double> sync_times, async_times;
+  std::optional<afe::SearchResult> reference;
+  bool identical = true;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    for (int leg = 0; leg < 2; ++leg) {
+      const bool sync = (pair + leg) % 2 == 0;
+      Stopwatch watch;
+      auto result = RunWithMode(
+          "NFS", config, nullptr, *dataset,
+          sync ? afe::PipelineMode::kSync : afe::PipelineMode::kAsync);
+      const double seconds = watch.ElapsedSeconds();
+      if (!result.ok()) {
+        std::fprintf(stderr, "smoke run failed: %s\n",
+                     result.status().ToString().c_str());
+        return 1;
+      }
+      (sync ? sync_times : async_times).push_back(seconds);
+      if (!reference.has_value()) {
+        reference = std::move(result).ValueOrDie();
+      } else {
+        identical = identical && BitIdentical(*reference, *result);
+      }
+    }
   }
-  const bool identical = BitIdentical(*sync_result, *async_result);
+  const double sync_seconds = stats::Median(sync_times);
+  const double async_seconds = stats::Median(async_times);
   const double speedup = sync_seconds / std::max(async_seconds, 1e-9);
   const unsigned cpus = std::thread::hardware_concurrency();
 
   const std::string line = StrFormat(
       "{\"bench\": \"pipeline_smoke\", \"samples\": %zu, "
       "\"features\": %zu, \"threads\": %zu, \"cpus\": %u, "
-      "\"sync_seconds\": %.3f, \"async_seconds\": %.3f, "
+      "\"runs\": %d, \"sync_seconds\": %.3f, \"async_seconds\": %.3f, "
       "\"speedup\": %.3f, \"seconds\": %.3f, \"identical\": %s}",
-      point.samples, point.features, config.threads, cpus, sync_seconds,
-      async_seconds, speedup, async_seconds, identical ? "true" : "false");
+      point.samples, point.features, config.threads, cpus, kPairs,
+      sync_seconds, async_seconds, speedup, async_seconds,
+      identical ? "true" : "false");
   std::printf("%s\n", line.c_str());
   if (!out_path.empty()) {
     std::ofstream out(out_path, std::ios::app);
@@ -218,8 +260,9 @@ int RunPipelineSmoke(BenchConfig config, const std::string& out_path) {
       async_seconds > sync_seconds * 1.05) {
     std::fprintf(stderr,
                  "pipeline smoke FAILED: async slower than sync "
-                 "(%.3fs vs %.3fs) on a %u-cpu machine\n",
-                 async_seconds, sync_seconds, cpus);
+                 "(median %.3fs vs %.3fs over %d runs each) on a %u-cpu "
+                 "machine\n",
+                 async_seconds, sync_seconds, kPairs, cpus);
     return 1;
   }
   if (cpus < 4) {
@@ -236,8 +279,9 @@ int Main(int argc, char** argv) {
   FlagParser parser;
   AddStandardFlags(&parser);
   parser.AddBool("pipeline-smoke", false,
-                 "CI gate: one n>=10k point, sync vs async, bit-identity "
-                 "asserted, JSONL appended to --out");
+                 "CI gate: one n>=10k point, sync vs async medians over "
+                 "alternating runs, bit-identity asserted, JSONL appended "
+                 "to --out");
   parser.AddString("out", "",
                    "append the smoke JSONL line to this file "
                    "(BENCH_pipeline.json schema)");

@@ -6,19 +6,23 @@
 //   {"threads": 4, "phase": "cold", "candidates": 48, "seconds": ...,
 //    "evals_per_sec": ..., "cache_hit_rate": 0.0, "speedup_vs_serial": ...}
 //
-// The "cold" phase evaluates a batch of unique candidates (pure fan-out,
-// every score is a real model fit); the "warm" phase replays the same
+// Candidate tables are scored through EvalService::ScoreDataset, fanned
+// out over the pool with ParallelFor the way the search pipeline's eval
+// workers call it. The "cold" phase scores a batch of unique candidates
+// (every score is a real model fit); the "warm" phase replays the same
 // batch (pure cache, no fits). Speedups are relative to the threads=1
 // cold pass. On a single-core machine the fan-out speedup is ~1x by
 // construction — the cache win in the warm phase is hardware-independent.
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "afe/eval_service.h"
+#include "afe/search.h"
 #include "bench/bench_util.h"
 #include "core/stopwatch.h"
 #include "runtime/thread_pool.h"
@@ -48,18 +52,24 @@ struct PhaseResult {
   double hit_rate = 0.0;
 };
 
-PhaseResult TimeBatch(afe::EvalService* service, const afe::FeatureSpace& space,
-                      const std::vector<afe::SpaceFeature>& candidates) {
+PhaseResult TimeBatch(afe::EvalService* service, runtime::ThreadPool* pool,
+                      const std::vector<data::Dataset>& tables) {
   const size_t requests_before = service->requests();
   const size_t hits_before = service->cache_hits();
+  std::vector<Status> statuses(tables.size());
   Stopwatch timer;
-  auto outcomes = service->EvaluateBatch(space, candidates, 0.0);
+  runtime::ParallelFor(pool, tables.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      statuses[i] = service->ScoreDataset(tables[i]).status();
+    }
+  });
   PhaseResult result;
   result.seconds = timer.ElapsedSeconds();
-  if (!outcomes.ok()) {
-    std::fprintf(stderr, "batch failed: %s\n",
-                 outcomes.status().ToString().c_str());
-    std::exit(1);
+  for (const Status& status : statuses) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "scoring failed: %s\n", status.ToString().c_str());
+      std::exit(1);
+    }
   }
   const size_t requests = service->requests() - requests_before;
   const size_t hits = service->cache_hits() - hits_before;
@@ -87,8 +97,12 @@ void Run(const BenchConfig& config) {
       Materialize(SelectDatasets(config).front(), config);
   const afe::FeatureSpace space(dataset, {});
   const size_t batch_size = config.full ? 128 : 48;
-  const std::vector<afe::SpaceFeature> candidates =
-      MakeCandidates(space, batch_size, config.seed + 17);
+  std::vector<data::Dataset> tables;
+  for (const afe::SpaceFeature& candidate :
+       MakeCandidates(space, batch_size, config.seed + 17)) {
+    tables.push_back(
+        afe::BuildCandidateDataset(space, candidate).ValueOrDie());
+  }
   const ml::EvaluatorOptions evaluator_options = config.EvaluatorOptions();
 
   std::fprintf(stderr,
@@ -105,15 +119,14 @@ void Run(const BenchConfig& config) {
 
     ml::TaskEvaluator evaluator(evaluator_options);
     afe::EvalService::Options options;
-    options.pool = pool.get();
     options.cache.capacity = 4 * batch_size;
     afe::EvalService service(&evaluator, options);
 
-    const PhaseResult cold = TimeBatch(&service, space, candidates);
+    const PhaseResult cold = TimeBatch(&service, pool.get(), tables);
     if (threads == 1) serial_cold_seconds = cold.seconds;
     PrintLine(threads, "cold", batch_size, cold, serial_cold_seconds);
 
-    const PhaseResult warm = TimeBatch(&service, space, candidates);
+    const PhaseResult warm = TimeBatch(&service, pool.get(), tables);
     PrintLine(threads, "warm", batch_size, warm, serial_cold_seconds);
   }
 }

@@ -1,10 +1,10 @@
 #include "ml/histogram_builder.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/check.h"
 #include "runtime/thread_pool.h"
-#include "simd/histogram_kernels.h"
 
 namespace eafe::ml {
 namespace {
@@ -18,6 +18,109 @@ double GiniFromCounts(const double* counts, int num_classes, double total) {
     sum_sq += p * p;
   }
   return 1.0 - sum_sq;
+}
+
+// Per-bin accumulation over a node's rows. `codes` is the binner's full
+// per-row code column; `indices` selects the node's rows (ids into
+// codes, may repeat). Entries are added INTO `out` in row order, so the
+// sums are the same fixed-order result on every run and thread count.
+
+void AccumulateClassCounts(const uint8_t* codes,
+                           const std::vector<size_t>& indices,
+                           const int* classes, size_t width, double* out) {
+  for (const size_t row : indices) {
+    out[codes[row] * width + static_cast<size_t>(classes[row])] += 1.0;
+  }
+}
+
+/// {count, Σa, Σb} per bin: regression uses (y, y²), gradient pairs use
+/// (g, h).
+template <typename Stats>
+void AccumulateTriples(const uint8_t* codes,
+                       const std::vector<size_t>& indices, const Stats& stats,
+                       double* out) {
+  for (const size_t row : indices) {
+    double* entry = out + codes[row] * 3;
+    const auto [a, b] = stats(row);
+    entry[0] += 1.0;
+    entry[1] += a;
+    entry[2] += b;
+  }
+}
+
+/// Best boundary over one feature's bins; bin == -1 when no boundary
+/// achieves a positive gain (the split search's `gain > 0` floor).
+struct SplitScan {
+  int bin = -1;
+  double gain = 0.0;
+};
+
+/// Second-order (XGBoost) gain scan over one feature's {count, Σg, Σh}
+/// bins. `parent_term` is G²/(H+lambda). Empty bins duplicate the
+/// previous boundary and are skipped; the scan stops once the right side
+/// drops below the leaf minimum (left_n only grows, so the condition is
+/// monotone). Ties keep the lowest boundary.
+SplitScan GradientSplitScan(const double* h, size_t bins, double total_n,
+                            double total_g, double total_h, double min_leaf,
+                            double lambda, double parent_term) {
+  SplitScan best;
+  double left_n = 0.0, left_g = 0.0, left_h = 0.0;
+  for (size_t b = 0; b + 1 < bins; ++b) {
+    const double* entry = h + b * 3;
+    if (entry[0] <= 0.0) continue;  // Empty bin: duplicate boundary.
+    left_n += entry[0];
+    left_g += entry[1];
+    left_h += entry[2];
+    const double right_n = total_n - left_n;
+    if (right_n <= 0.0 || right_n < min_leaf) break;
+    if (left_n < min_leaf) continue;
+
+    const double right_g = total_g - left_g;
+    const double right_h = total_h - left_h;
+    const double gain =
+        0.5 * (left_g * left_g / (left_h + lambda) +
+               right_g * right_g / (right_h + lambda) - parent_term);
+    if (gain > best.gain) {
+      best.gain = gain;
+      best.bin = static_cast<int>(b);
+    }
+  }
+  return best;
+}
+
+/// Variance-reduction gain scan over one feature's {count, Σy, Σy²}
+/// bins, with the same empty-bin skip and min-leaf pruning. `n` is the
+/// node's row count as a double.
+SplitScan RegressionSplitScan(const double* h, size_t bins, double n,
+                              double total_sum, double total_sum2,
+                              double min_leaf, double parent_impurity) {
+  SplitScan best;
+  double left_n = 0.0, left_sum = 0.0, left_sum2 = 0.0;
+  for (size_t b = 0; b + 1 < bins; ++b) {
+    const double* entry = h + b * 3;
+    if (entry[0] <= 0.0) continue;  // Empty bin: duplicate boundary.
+    left_n += entry[0];
+    left_sum += entry[1];
+    left_sum2 += entry[2];
+    const double right_n = n - left_n;
+    if (right_n <= 0.0 || right_n < min_leaf) break;
+    if (left_n < min_leaf) continue;
+
+    const double wl = left_n / n;
+    const double right_sum = total_sum - left_sum;
+    const double right_sum2 = total_sum2 - left_sum2;
+    const double lm = left_sum / left_n;
+    const double rm = right_sum / right_n;
+    const double left_var = left_sum2 / left_n - lm * lm;
+    const double right_var = right_sum2 / right_n - rm * rm;
+    const double impurity = wl * left_var + (1.0 - wl) * right_var;
+    const double gain = parent_impurity - impurity;
+    if (gain > best.gain) {
+      best.gain = gain;
+      best.bin = static_cast<int>(b);
+    }
+  }
+  return best;
 }
 
 }  // namespace
@@ -88,26 +191,24 @@ void HistogramBuilder::InitOffsets() {
 void HistogramBuilder::BuildFeatures(const std::vector<size_t>& indices,
                                      size_t begin, size_t end,
                                      Histogram* out) const {
-  // Accumulation runs in the dispatched kernels (simd/): class counts
-  // are bit-identical across tiers, regression triples are fixed-order
-  // at every tier, and gradient pairs carry the documented Σg/Σh
-  // tolerance contract (DESIGN.md §9).
   for (size_t f = begin; f < end; ++f) {
-    const size_t bins = binner_->num_bins(f);
-    if (bins < 2) continue;  // Constant column: no splits.
-    const std::vector<uint8_t>& codes = binner_->codes(f);
+    if (binner_->num_bins(f) < 2) continue;  // Constant column: no splits.
+    const uint8_t* codes = binner_->codes(f).data();
     double* h = out->data.data() + offsets_[f];
     if (mode_ == Mode::kClassification) {
-      simd::AccumulateClassCounts(codes.data(), indices.data(),
-                                  indices.size(), labels_->classes.data(),
-                                  bins, entry_width_, h);
+      AccumulateClassCounts(codes, indices, labels_->classes.data(),
+                            entry_width_, h);
     } else if (mode_ == Mode::kRegression) {
-      simd::AccumulateSquares(codes.data(), indices.data(), indices.size(),
-                              y_->data(), h);
+      const std::vector<double>& y = *y_;
+      AccumulateTriples(codes, indices, [&y](size_t row) {
+        return std::pair{y[row], y[row] * y[row]};
+      }, h);
     } else {
-      simd::AccumulateGradientPairs(codes.data(), indices.data(),
-                                    indices.size(), gradients_->data(),
-                                    hessians_->data(), bins, h);
+      const std::vector<double>& g = *gradients_;
+      const std::vector<double>& hess = *hessians_;
+      AccumulateTriples(codes, indices, [&g, &hess](size_t row) {
+        return std::pair{g[row], hess[row]};
+      }, h);
     }
   }
 }
@@ -158,10 +259,12 @@ void HistogramBuilder::Subtract(const Histogram& parent,
     out->data.resize(parent.data.size());
     out->totals.resize(parent.totals.size());
   }
-  simd::SubtractArrays(parent.data.data(), sibling.data.data(),
-                       parent.data.size(), out->data.data());
-  simd::SubtractArrays(parent.totals.data(), sibling.totals.data(),
-                       parent.totals.size(), out->totals.data());
+  for (size_t i = 0; i < parent.data.size(); ++i) {
+    out->data[i] = parent.data[i] - sibling.data[i];
+  }
+  for (size_t i = 0; i < parent.totals.size(); ++i) {
+    out->totals[i] = parent.totals[i] - sibling.totals[i];
+  }
 }
 
 double HistogramBuilder::NodeImpurity(const Histogram& hist,
@@ -191,12 +294,9 @@ HistogramBuilder::Split HistogramBuilder::FindBestSplit(
     if (bins < 2) continue;
     const double* h = hist.data.data() + offsets_[f];
     if (!classification) {
-      // The variance-reduction scan runs in the dispatched kernel; its
-      // per-feature winner is bit-identical to the inline loop this
-      // replaces (same empty-bin skips, min-leaf pruning, and expression
-      // tree). The strict > keeps the earliest feature on gain ties,
-      // matching the original single running compare.
-      const simd::SplitScan scan = simd::RegressionSplitScan(
+      // Per-feature variance scan; the strict > keeps the earliest
+      // feature on gain ties, matching a single running compare.
+      const SplitScan scan = RegressionSplitScan(
           h, bins, n, hist.totals[1], hist.totals[2], min_leaf,
           parent_impurity);
       if (scan.bin >= 0 && scan.gain > best.gain) {
@@ -265,12 +365,9 @@ HistogramBuilder::Split HistogramBuilder::FindBestSplitGradient(
     const size_t bins = binner_->num_bins(f);
     if (bins < 2) continue;
     const double* h = hist.data.data() + offsets_[f];
-    // The second-order gain scan runs in the dispatched kernel with the
-    // same shape as FindBestSplit's: empty bins duplicate the previous
-    // boundary and are skipped; the scan stops once the right side drops
-    // below the leaf minimum. The chosen (bin, gain) is bit-identical
-    // across tiers; strict > keeps the earliest feature on ties.
-    const simd::SplitScan scan = simd::GradientSplitScan(
+    // Same scan shape as FindBestSplit's (empty-bin skip, min-leaf
+    // pruning); strict > keeps the earliest feature on ties.
+    const SplitScan scan = GradientSplitScan(
         h, bins, total_n, total_g, total_h, min_leaf, lambda, parent_term);
     if (scan.bin >= 0 && scan.gain > best.gain) {
       best.gain = scan.gain;

@@ -44,7 +44,7 @@ Result<FlatPredictor> FlatPredictor::Create(FlatTreeModel model) {
   const FlatTreeModel& m = predictor.model_;
   predictor.nodes_.resize(m.num_nodes());
   for (size_t i = 0; i < m.num_nodes(); ++i) {
-    simd::PackedNode& nd = predictor.nodes_[i];
+    PackedNode& nd = predictor.nodes_[i];
     if (m.feature[i] < 0) {
       // Leaf: self-loop on feature 0 so spare fixed-depth steps stay put.
       nd.feature = 0;
@@ -107,12 +107,45 @@ void FlatPredictor::EncodeRows(const data::DataFrame& x) {
 
 void FlatPredictor::WalkBatch(size_t t, size_t n) {
   leaves_.resize(n);
-  // The multi-row node walk (several rows in flight so independent node
-  // loads overlap) lives in the dispatched kernel layer; pure integer
-  // control flow, so the leaves are identical at every EAFE_SIMD level.
-  simd::WalkRows(nodes_.data(), codes_.data(), model_.num_features,
-                 model_.tree_offsets[t], tree_depths_[t], n,
-                 leaves_.data());
+  const PackedNode* nodes = nodes_.data();
+  const uint8_t* codes = codes_.data();
+  uint32_t* leaves = leaves_.data();
+  const size_t stride = model_.num_features;
+  const uint32_t root = model_.tree_offsets[t];
+  const uint32_t steps = tree_depths_[t];
+  // kBlock rows in flight: each step is a conditional move on the row's
+  // code, and distinct rows' node loads are independent, so the walk
+  // overlaps cache latency instead of serializing one dependent chain.
+  // Rows on shallow leaves spend the spare steps in their self-loop.
+  constexpr size_t kBlock = 8;
+  size_t r = 0;
+  for (; r + kBlock <= n; r += kBlock) {
+    const uint8_t* rows[kBlock];
+    uint32_t cur[kBlock];
+    for (size_t k = 0; k < kBlock; ++k) {
+      rows[k] = codes + (r + k) * stride;
+      cur[k] = root;
+    }
+    for (uint32_t d = 0; d < steps; ++d) {
+      for (size_t k = 0; k < kBlock; ++k) {
+        const PackedNode& nd = nodes[cur[k]];
+        cur[k] = rows[k][static_cast<size_t>(nd.feature)] <= nd.split_bin
+                     ? nd.left
+                     : nd.right;
+      }
+    }
+    for (size_t k = 0; k < kBlock; ++k) leaves[r + k] = cur[k];
+  }
+  for (; r < n; ++r) {
+    const uint8_t* row = codes + r * stride;
+    uint32_t cur = root;
+    for (uint32_t d = 0; d < steps; ++d) {
+      const PackedNode& nd = nodes[cur];
+      cur = row[static_cast<size_t>(nd.feature)] <= nd.split_bin ? nd.left
+                                                                 : nd.right;
+    }
+    leaves[r] = cur;
+  }
 }
 
 Result<std::vector<double>> FlatPredictor::Predict(const data::DataFrame& x) {

@@ -7,7 +7,6 @@
 #include "core/status.h"
 #include "data/dataframe.h"
 #include "serve/flat_model.h"
-#include "simd/predict_kernels.h"
 
 namespace eafe::serve {
 
@@ -67,11 +66,18 @@ class FlatPredictor {
   /// each row's leaf index in leaves_[r].
   void WalkBatch(size_t t, size_t n);
 
+  /// Hot traversal record: 16 bytes, four per cache line. Leaves are
+  /// packed as self-loops (feature 0, left == right == own index) so the
+  /// fixed-depth walk never tests for them.
+  struct PackedNode {
+    int32_t feature = 0;    ///< Code column routed on (0 for leaves).
+    uint8_t split_bin = 0;  ///< Go left if code <= split_bin.
+    uint32_t left = 0;      ///< Absolute node index.
+    uint32_t right = 0;
+  };
+
   FlatTreeModel model_;
-  /// Hot traversal records (simd::PackedNode, 16 bytes): leaves are
-  /// packed as self-loops so the fixed-depth batch walk never tests for
-  /// them. Walked by the dispatched simd::WalkRows kernel.
-  std::vector<simd::PackedNode> nodes_;
+  std::vector<PackedNode> nodes_;
   /// Steps needed to pin every row of tree t on a leaf (its max depth).
   std::vector<uint32_t> tree_depths_;
   /// Per-batch scratch, grown once and reused across calls.

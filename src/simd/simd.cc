@@ -110,16 +110,6 @@ const char* KernelName(Kernel kernel) {
       return "cws_argmin";
     case Kernel::kPlainArgmin:
       return "plain_argmin";
-    case Kernel::kClassCounts:
-      return "class_counts";
-    case Kernel::kTriples:
-      return "triples";
-    case Kernel::kSubtract:
-      return "subtract";
-    case Kernel::kSplitScan:
-      return "split_scan";
-    case Kernel::kWalk:
-      return "walk";
     case Kernel::kKernelCount:
       break;
   }

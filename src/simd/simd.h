@@ -12,13 +12,10 @@ namespace eafe::simd {
 
 /// Runtime-dispatched kernel tier. Every kernel in src/simd/ ships a
 /// portable scalar reference (the exact, fixed-order baseline the
-/// determinism suites pin) and may ship an AVX2 specialization. The
-/// active tier is resolved once per process: the EAFE_SIMD environment
-/// variable ("scalar" or "avx2") wins, otherwise the best
-/// cpuid-supported tier is used. Kernels that only reorder integer ops
-/// or comparisons are bit-identical across tiers; the one documented
-/// exception (gradient-pair Σg/Σh accumulation) carries an explicit
-/// tolerance contract — see DESIGN.md §9.
+/// determinism suites pin) and an AVX2 specialization. The active tier
+/// is resolved once per process: the EAFE_SIMD environment variable
+/// ("scalar" or "avx2") wins, otherwise the best cpuid-supported tier is
+/// used. Every kernel is bit-identical across tiers — see DESIGN.md §9.
 enum class Level : int {
   kScalar = 0,
   kAvx2 = 1,
@@ -29,12 +26,7 @@ enum class Level : int {
 enum class Kernel : int {
   kCwsArgmin = 0,    ///< Weighted-MinHash sampling-value argmin per slot.
   kPlainArgmin = 1,  ///< Unweighted MixHash argmin per slot.
-  kClassCounts = 2,  ///< Histogram per-class count accumulation.
-  kTriples = 3,      ///< Histogram {count, Σa, Σb} accumulation.
-  kSubtract = 4,     ///< Histogram parent-minus-sibling subtraction.
-  kSplitScan = 5,    ///< Best-split bin scans (gradient / regression).
-  kWalk = 6,         ///< Flat-predictor batch node walk.
-  kKernelCount = 7,
+  kKernelCount = 2,
 };
 
 /// True when this build/CPU can execute `level` (scalar always can).

@@ -51,21 +51,29 @@ class EvalServiceTest : public ::testing::Test {
   void TearDown() override { runtime::SetGlobalThreads(1); }
 };
 
-TEST_F(EvalServiceTest, GainMatchesSerialEvaluateCandidateGain) {
+/// Candidate tables exactly as the search's eval stage builds them.
+std::vector<data::Dataset> CandidateTables(
+    const FeatureSpace& space, const std::vector<SpaceFeature>& candidates) {
+  std::vector<data::Dataset> tables;
+  for (const SpaceFeature& candidate : candidates) {
+    tables.push_back(BuildCandidateDataset(space, candidate).ValueOrDie());
+  }
+  return tables;
+}
+
+TEST_F(EvalServiceTest, ScoreMatchesDirectEvaluatorScore) {
   runtime::SetGlobalThreads(1);
   const data::Dataset dataset = SmallTarget();
   FeatureSpace space(dataset, {});
-  const std::vector<SpaceFeature> candidates = MakeCandidates(space, 3, 21);
+  const std::vector<data::Dataset> tables =
+      CandidateTables(space, MakeCandidates(space, 3, 21));
 
   ml::TaskEvaluator reference(QuickEvaluator());
   ml::TaskEvaluator evaluator(QuickEvaluator());
   EvalService service(&evaluator);
-  for (const SpaceFeature& candidate : candidates) {
-    const double expected =
-        EvaluateCandidateGain(reference, space, candidate, 0.25)
-            .ValueOrDie();
-    const double actual =
-        service.EvaluateGain(space, candidate, 0.25).ValueOrDie();
+  for (const data::Dataset& table : tables) {
+    const double expected = reference.Score(table).ValueOrDie();
+    const double actual = service.ScoreDataset(table).ValueOrDie();
     EXPECT_EQ(actual, expected);  // Bit-identical, not just close.
   }
 }
@@ -74,14 +82,13 @@ TEST_F(EvalServiceTest, CacheHitAndMissAccounting) {
   runtime::SetGlobalThreads(1);
   const data::Dataset dataset = SmallTarget();
   FeatureSpace space(dataset, {});
-  const SpaceFeature candidate = MakeCandidates(space, 1, 3).front();
+  const data::Dataset table =
+      CandidateTables(space, MakeCandidates(space, 1, 3)).front();
 
   ml::TaskEvaluator evaluator(QuickEvaluator());
   EvalService service(&evaluator);
-  const double first =
-      service.EvaluateGain(space, candidate, 0.0).ValueOrDie();
-  const double second =
-      service.EvaluateGain(space, candidate, 0.0).ValueOrDie();
+  const double first = service.ScoreDataset(table).ValueOrDie();
+  const double second = service.ScoreDataset(table).ValueOrDie();
   EXPECT_EQ(first, second);
   EXPECT_EQ(service.requests(), 2u);
   EXPECT_EQ(service.cache_hits(), 1u);
@@ -89,31 +96,6 @@ TEST_F(EvalServiceTest, CacheHitAndMissAccounting) {
   EXPECT_EQ(service.cache().stats().insertions, 1u);
   // ...but the accounting matches the cache-free serial path.
   EXPECT_EQ(evaluator.evaluation_count(), 2u);
-}
-
-TEST_F(EvalServiceTest, BatchDeduplicatesIdenticalCandidates) {
-  runtime::SetGlobalThreads(1);
-  const data::Dataset dataset = SmallTarget();
-  FeatureSpace space(dataset, {});
-  const std::vector<SpaceFeature> unique = MakeCandidates(space, 2, 7);
-  // a, b, a, a: one fit for a, one for b.
-  const std::vector<SpaceFeature> batch = {unique[0], unique[1], unique[0],
-                                           unique[0]};
-
-  ml::TaskEvaluator evaluator(QuickEvaluator());
-  EvalService service(&evaluator);
-  const std::vector<EvalService::Outcome> outcomes =
-      service.EvaluateBatch(space, batch, 0.0).ValueOrDie();
-  ASSERT_EQ(outcomes.size(), 4u);
-  EXPECT_EQ(outcomes[0].signature, outcomes[2].signature);
-  EXPECT_EQ(outcomes[0].score, outcomes[2].score);
-  EXPECT_EQ(outcomes[0].score, outcomes[3].score);
-  EXPECT_NE(outcomes[0].signature, outcomes[1].signature);
-  EXPECT_FALSE(outcomes[0].cache_hit);
-  EXPECT_TRUE(outcomes[2].cache_hit);
-  EXPECT_TRUE(outcomes[3].cache_hit);
-  EXPECT_EQ(service.cache().stats().insertions, 2u);
-  EXPECT_EQ(evaluator.evaluation_count(), 4u);  // Requests, not fits.
 }
 
 TEST_F(EvalServiceTest, SignatureTracksStateAndCandidate) {
@@ -139,37 +121,40 @@ TEST_F(EvalServiceTest, SignatureTracksStateAndCandidate) {
             signature(candidates[0], other_seed));
 }
 
-TEST_F(EvalServiceTest, ParallelBatchMatchesSerialBitForBit) {
+TEST_F(EvalServiceTest, ParallelScoringMatchesSerialBitForBit) {
   const data::Dataset dataset = SmallTarget();
   FeatureSpace space(dataset, {});
-  const std::vector<SpaceFeature> candidates = MakeCandidates(space, 8, 31);
+  const std::vector<data::Dataset> tables =
+      CandidateTables(space, MakeCandidates(space, 8, 31));
 
   runtime::SetGlobalThreads(1);
   ml::TaskEvaluator serial_evaluator(QuickEvaluator());
   EvalService serial(&serial_evaluator);
-  const std::vector<EvalService::Outcome> serial_outcomes =
-      serial.EvaluateBatch(space, candidates, 0.5).ValueOrDie();
+  std::vector<double> serial_scores;
+  for (const data::Dataset& table : tables) {
+    serial_scores.push_back(serial.ScoreDataset(table).ValueOrDie());
+  }
 
+  // Concurrent ScoreDataset calls on one service, as the pipeline's eval
+  // workers make them; each writes only its own slot.
   runtime::SetGlobalThreads(4);
-  ml::TaskEvaluator parallel_evaluator(QuickEvaluator());
-  EvalService parallel(&parallel_evaluator);
-  const std::vector<EvalService::Outcome> parallel_outcomes =
-      parallel.EvaluateBatch(space, candidates, 0.5).ValueOrDie();
-
-  ASSERT_EQ(serial_outcomes.size(), parallel_outcomes.size());
-  for (size_t i = 0; i < serial_outcomes.size(); ++i) {
-    EXPECT_EQ(serial_outcomes[i].score, parallel_outcomes[i].score);
-    EXPECT_EQ(serial_outcomes[i].gain, parallel_outcomes[i].gain);
-    EXPECT_EQ(serial_outcomes[i].signature, parallel_outcomes[i].signature);
-  }
+  const auto score_in_parallel = [&tables]() {
+    ml::TaskEvaluator evaluator(QuickEvaluator());
+    EvalService service(&evaluator);
+    std::vector<double> scores(tables.size(), 0.0);
+    runtime::ParallelFor(
+        runtime::GlobalPool(), tables.size(), [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            scores[i] = service.ScoreDataset(tables[i]).ValueOrDie();
+          }
+        });
+    EXPECT_EQ(evaluator.evaluation_count(), tables.size());
+    return scores;
+  };
+  const std::vector<double> parallel_scores = score_in_parallel();
+  EXPECT_EQ(parallel_scores, serial_scores);
   // Repeated parallel runs are identical to each other, too.
-  ml::TaskEvaluator repeat_evaluator(QuickEvaluator());
-  EvalService repeat(&repeat_evaluator);
-  const std::vector<EvalService::Outcome> repeat_outcomes =
-      repeat.EvaluateBatch(space, candidates, 0.5).ValueOrDie();
-  for (size_t i = 0; i < serial_outcomes.size(); ++i) {
-    EXPECT_EQ(parallel_outcomes[i].score, repeat_outcomes[i].score);
-  }
+  EXPECT_EQ(score_in_parallel(), parallel_scores);
 }
 
 TEST_F(EvalServiceTest, SearchIsIdenticalAcrossThreadCounts) {
@@ -198,18 +183,6 @@ TEST_F(EvalServiceTest, SearchIsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.downstream_evaluations, parallel.downstream_evaluations);
   EXPECT_EQ(serial.best_dataset.features.ColumnNames(),
             parallel.best_dataset.features.ColumnNames());
-}
-
-TEST_F(EvalServiceTest, ScoreDatasetUsesCache) {
-  runtime::SetGlobalThreads(1);
-  const data::Dataset dataset = SmallTarget();
-  ml::TaskEvaluator evaluator(QuickEvaluator());
-  EvalService service(&evaluator);
-  const double first = service.ScoreDataset(dataset).ValueOrDie();
-  const double second = service.ScoreDataset(dataset).ValueOrDie();
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(service.cache_hits(), 1u);
-  EXPECT_EQ(evaluator.evaluation_count(), 2u);
 }
 
 }  // namespace

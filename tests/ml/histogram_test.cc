@@ -123,6 +123,152 @@ TEST(HistogramBuilderTest, SubtractionMatchesDirectBuild) {
   builder.Subtract(parent, left_hist, &derived);
   EXPECT_EQ(derived.data, expected_right.data);
   EXPECT_EQ(derived.totals, expected_right.totals);
+  // In place, as DecisionTree and the booster call it: out aliases parent.
+  builder.Subtract(parent, left_hist, &parent);
+  EXPECT_EQ(parent.data, expected_right.data);
+  EXPECT_EQ(parent.totals, expected_right.totals);
+}
+
+// The split scans skip empty bins and stop once the right side drops
+// below the leaf minimum. Both shortcuts must leave the chosen split
+// equal to a brute-force scan that partitions the node's rows at every
+// boundary. Labels, gradients and hessians are small integers, so every
+// sum is exact and the two scans can be compared bit for bit.
+TEST(HistogramBuilderTest, SplitScansMatchBruteForceWithEmptyBinsAndMinLeaf) {
+  constexpr size_t kRows = 40;
+  std::vector<double> values(kRows), classes(kRows), targets(kRows);
+  std::vector<double> gradients(kRows), hessians(kRows);
+  for (size_t v = 0; v < kRows; ++v) {
+    values[v] = static_cast<double>(v);
+    classes[v] = static_cast<double>(v * 7 % 3);
+    targets[v] = static_cast<double>(v * 13 % 11) - 5.0;
+    gradients[v] = static_cast<double>(v * 5 % 7) - 3.0;
+    hessians[v] = 1.0 + static_cast<double>(v % 2);
+  }
+  data::DataFrame x;
+  ASSERT_TRUE(x.AddColumn(data::Column("f", values)).ok());
+  FeatureBinner binner;
+  ASSERT_TRUE(binner.Fit(x).ok());
+  ASSERT_EQ(binner.num_bins(0), kRows);  // Lossless: code == value.
+
+  // The node leaves bins 0-2 and every bin == 2 (mod 5) empty, and
+  // repeats a few rows the way bootstrap views do.
+  std::vector<size_t> node;
+  for (size_t r = 3; r < kRows; ++r) {
+    if (r % 5 != 2) node.push_back(r);
+    if (r % 9 == 0) node.push_back(r);
+  }
+  const double n = static_cast<double>(node.size());
+
+  // Brute force: gain of the boundary after bin b (left = codes <= b),
+  // from per-row sums; strict > keeps the earliest of equal gains.
+  struct Sums {
+    double n = 0.0, y = 0.0, y2 = 0.0, g = 0.0, h = 0.0;
+    std::vector<double> counts = std::vector<double>(3, 0.0);
+  };
+  const auto brute_force = [&](double min_leaf, const auto& gain_of) {
+    HistogramBuilder::Split best;
+    for (size_t b = 0; b + 1 < kRows; ++b) {
+      Sums left, right;
+      for (const size_t r : node) {
+        Sums& side = binner.code(0, r) <= b ? left : right;
+        side.n += 1.0;
+        side.counts[static_cast<size_t>(classes[r])] += 1.0;
+        side.y += targets[r];
+        side.y2 += targets[r] * targets[r];
+        side.g += gradients[r];
+        side.h += hessians[r];
+      }
+      if (left.n <= 0.0 || right.n <= 0.0) continue;
+      if (left.n < min_leaf || right.n < min_leaf) continue;
+      const double gain = gain_of(left, right);
+      if (gain > best.gain) {
+        best.gain = gain;
+        best.feature = 0;
+        best.bin = static_cast<int>(b);
+      }
+    }
+    return best;
+  };
+  const auto expect_same = [](const HistogramBuilder::Split& got,
+                              const HistogramBuilder::Split& want,
+                              double min_leaf) {
+    EXPECT_EQ(got.feature, want.feature) << "min_leaf=" << min_leaf;
+    EXPECT_EQ(got.bin, want.bin) << "min_leaf=" << min_leaf;
+    EXPECT_EQ(got.gain, want.gain) << "min_leaf=" << min_leaf;
+  };
+  const auto gini = [](const std::vector<double>& counts, double total) {
+    double sum_sq = 0.0;
+    for (const double c : counts) sum_sq += (c / total) * (c / total);
+    return 1.0 - sum_sq;
+  };
+
+  const BinnedLabels labels =
+      BinnedLabels::Create(data::TaskType::kClassification, classes)
+          .ValueOrDie();
+  const HistogramBuilder classifier(&binner, data::TaskType::kClassification,
+                                    &labels, &classes);
+  Histogram class_hist;
+  classifier.Build(node, &class_hist);
+  const double class_parent = classifier.NodeImpurity(class_hist, node.size());
+
+  const BinnedLabels no_labels =
+      BinnedLabels::Create(data::TaskType::kRegression, targets)
+          .ValueOrDie();
+  const HistogramBuilder regressor(&binner, data::TaskType::kRegression,
+                                   &no_labels, &targets);
+  Histogram reg_hist;
+  regressor.Build(node, &reg_hist);
+  const double reg_parent = regressor.NodeImpurity(reg_hist, node.size());
+
+  const HistogramBuilder booster(&binner, &gradients, &hessians);
+  Histogram grad_hist;
+  booster.Build(node, &grad_hist);
+  const double lambda = 1.0;
+  double total_g = 0.0, total_h = 0.0;
+  for (const size_t r : node) {
+    total_g += gradients[r];
+    total_h += hessians[r];
+  }
+  const double parent_term = total_g * total_g / (total_h + lambda);
+
+  bool found_split = false;
+  for (const double min_leaf : {1.0, 4.0, 9.0, 20.0}) {
+    const size_t leaf = static_cast<size_t>(min_leaf);
+    const HistogramBuilder::Split class_want =
+        brute_force(min_leaf, [&](const Sums& l, const Sums& r) {
+          const double wl = l.n / n;
+          return class_parent -
+                 (wl * gini(l.counts, l.n) + (1.0 - wl) * gini(r.counts, r.n));
+        });
+    expect_same(classifier.FindBestSplit(class_hist, {0}, node.size(), leaf,
+                                         class_parent),
+                class_want, min_leaf);
+    found_split = found_split || class_want.bin >= 0;
+
+    expect_same(
+        regressor.FindBestSplit(reg_hist, {0}, node.size(), leaf,
+                                reg_parent),
+        brute_force(min_leaf,
+                    [&](const Sums& l, const Sums& r) {
+                      const double wl = l.n / n;
+                      const double lm = l.y / l.n;
+                      const double rm = r.y / r.n;
+                      return reg_parent - (wl * (l.y2 / l.n - lm * lm) +
+                                           (1.0 - wl) * (r.y2 / r.n - rm * rm));
+                    }),
+        min_leaf);
+
+    expect_same(
+        booster.FindBestSplitGradient(grad_hist, leaf, lambda),
+        brute_force(min_leaf,
+                    [&](const Sums& l, const Sums& r) {
+                      return 0.5 * (l.g * l.g / (l.h + lambda) +
+                                    r.g * r.g / (r.h + lambda) - parent_term);
+                    }),
+        min_leaf);
+  }
+  EXPECT_TRUE(found_split);
 }
 
 // With every sample value distinct and n <= max_bins, the binning is

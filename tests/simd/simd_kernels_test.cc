@@ -7,20 +7,16 @@
 
 #include "hashing/weighted_minhash.h"
 #include "runtime/metrics.h"
-#include "simd/histogram_kernels.h"
 #include "simd/minhash_kernels.h"
 #include "simd/portable_math.h"
-#include "simd/predict_kernels.h"
 #include "simd/simd.h"
 
 // Dispatch-equivalence property tests for the src/simd/ kernel layer.
 //
 // Contract under test (DESIGN.md §9): every kernel's AVX2 tier returns
-// results bit-identical to the scalar reference — argmin indices, class
-// counts, split scans, node walks — with one documented exception, the
-// gradient-pair Σg/Σh accumulation, which reassociates sums and is held
-// to a relative tolerance instead. Sizes deliberately include lengths
-// with n % 8 != 0 (and < one vector) so remainder handling is covered.
+// results bit-identical to the scalar reference — argmin indices and
+// their sampling values. Sizes deliberately include lengths with
+// n % 8 != 0 (and < one vector) so remainder handling is covered.
 //
 // These tests run single-threaded on purpose: tier dispatch is
 // process-global state (SetActiveLevel), and the suite flips it.
@@ -232,202 +228,6 @@ TEST(MinHashKernelTest, WeightedMinHashSelectTierInvariant) {
           EXPECT_EQ(a.quantization, b.quantization);
         }
       }
-    }
-  }
-}
-
-// --- Histogram kernels -----------------------------------------------
-
-struct HistogramFixture {
-  size_t bins = 19;  // Not a multiple of any vector width.
-  std::vector<uint8_t> codes;
-  std::vector<size_t> indices;
-  std::vector<int> classes;
-  std::vector<double> values;
-
-  explicit HistogramFixture(size_t rows, uint64_t tag) {
-    codes.resize(rows);
-    classes.resize(rows);
-    values.resize(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      codes[r] = static_cast<uint8_t>(
-          static_cast<size_t>(TestUniform(tag, r) * 1000.0) % bins);
-      classes[r] = static_cast<int>(r % 3);
-      values[r] = TestUniform(tag ^ 1, r) * 4.0 - 2.0;
-    }
-    // Node row set: a non-contiguous, repeating subset.
-    for (size_t r = 0; r < rows; ++r) {
-      if (r % 5 != 3) indices.push_back(r);
-      if (r % 11 == 0) indices.push_back(r);
-    }
-  }
-};
-
-TEST(HistogramKernelTest, ClassCountsTiersAgreeBitwise) {
-  EAFE_REQUIRE_AVX2();
-  for (const size_t rows : kSizes) {
-    const HistogramFixture f(rows, 0x51);
-    const size_t width = 3;
-    std::vector<double> scalar(f.bins * width, 0.0);
-    std::vector<double> avx2(f.bins * width, 0.0);
-    internal::AccumulateClassCountsScalar(f.codes.data(), f.indices.data(),
-                                          f.indices.size(),
-                                          f.classes.data(), width,
-                                          scalar.data());
-    internal::AccumulateClassCountsAvx2(f.codes.data(), f.indices.data(),
-                                        f.indices.size(), f.classes.data(),
-                                        f.bins, width, avx2.data());
-    ASSERT_EQ(scalar, avx2) << "rows=" << rows;
-  }
-}
-
-TEST(HistogramKernelTest, GradientPairsExactCountsToleratedSums) {
-  EAFE_REQUIRE_AVX2();
-  for (const size_t rows : kSizes) {
-    const HistogramFixture f(rows, 0x52);
-    std::vector<double> g(f.codes.size()), h(f.codes.size());
-    for (size_t r = 0; r < g.size(); ++r) {
-      g[r] = TestUniform(0x53, r) * 2.0 - 1.0;
-      h[r] = TestUniform(0x54, r) * 0.25;
-    }
-    std::vector<double> scalar(f.bins * 3, 0.0);
-    std::vector<double> avx2(f.bins * 3, 0.0);
-    internal::AccumulateGradientPairsScalar(f.codes.data(),
-                                            f.indices.data(),
-                                            f.indices.size(), g.data(),
-                                            h.data(), scalar.data());
-    internal::AccumulateGradientPairsAvx2(
-        f.codes.data(), f.indices.data(), f.indices.size(), g.data(),
-        h.data(), f.bins, avx2.data());
-    for (size_t b = 0; b < f.bins; ++b) {
-      // Counts: integer adds, exact at every tier.
-      ASSERT_EQ(scalar[b * 3], avx2[b * 3]) << "bin " << b;
-      // Σg/Σh: interleaved accumulation reassociates — tolerance contract.
-      for (size_t k = 1; k < 3; ++k) {
-        const double a = scalar[b * 3 + k];
-        const double v = avx2[b * 3 + k];
-        ASSERT_NEAR(v, a, 1e-9 * (std::abs(a) + 1.0))
-            << "bin " << b << " component " << k;
-      }
-    }
-  }
-}
-
-TEST(HistogramKernelTest, SubtractTiersAgreeBitwiseAndAlias) {
-  EAFE_REQUIRE_AVX2();
-  for (const size_t n : kSizes) {
-    std::vector<double> a(n), b(n);
-    for (size_t i = 0; i < n; ++i) {
-      a[i] = TestUniform(0x61, i) * 100.0;
-      b[i] = TestUniform(0x62, i) * 50.0;
-    }
-    std::vector<double> scalar(n, 0.0), avx2(n, 0.0);
-    internal::SubtractArraysScalar(a.data(), b.data(), n, scalar.data());
-    internal::SubtractArraysAvx2(a.data(), b.data(), n, avx2.data());
-    EXPECT_EQ(scalar, avx2) << "n=" << n;
-    // out may alias a (the in-place parent-minus-sibling use).
-    std::vector<double> aliased = a;
-    internal::SubtractArraysAvx2(aliased.data(), b.data(), n,
-                                 aliased.data());
-    EXPECT_EQ(aliased, scalar) << "aliased n=" << n;
-  }
-}
-
-TEST(HistogramKernelTest, SplitScansTiersAgreeBitwise) {
-  EAFE_REQUIRE_AVX2();
-  for (const size_t rows : {size_t{40}, size_t{333}, size_t{1003}}) {
-    const HistogramFixture f(rows, 0x71);
-    std::vector<double> g(f.codes.size()), h(f.codes.size());
-    for (size_t r = 0; r < g.size(); ++r) {
-      g[r] = TestUniform(0x72, r) * 2.0 - 1.0;
-      h[r] = 0.1 + TestUniform(0x73, r) * 0.25;
-    }
-    std::vector<double> grad_hist(f.bins * 3, 0.0);
-    internal::AccumulateGradientPairsScalar(
-        f.codes.data(), f.indices.data(), f.indices.size(), g.data(),
-        h.data(), grad_hist.data());
-    double tn = 0.0, tg = 0.0, th = 0.0;
-    for (size_t b = 0; b < f.bins; ++b) {
-      tn += grad_hist[b * 3];
-      tg += grad_hist[b * 3 + 1];
-      th += grad_hist[b * 3 + 2];
-    }
-    const double lambda = 1.0;
-    const double parent_term = tg * tg / (th + lambda);
-    for (const double min_leaf : {1.0, 8.0}) {
-      const SplitScan s = internal::GradientSplitScanScalar(
-          grad_hist.data(), f.bins, tn, tg, th, min_leaf, lambda,
-          parent_term);
-      const SplitScan v = internal::GradientSplitScanAvx2(
-          grad_hist.data(), f.bins, tn, tg, th, min_leaf, lambda,
-          parent_term);
-      EXPECT_EQ(s.bin, v.bin) << "rows=" << rows;
-      EXPECT_EQ(s.gain, v.gain) << "rows=" << rows;
-    }
-
-    // Regression triples {count, Σy, Σy²} for the variance scan.
-    std::vector<double> reg_hist(f.bins * 3, 0.0);
-    double n = 0.0, sum = 0.0, sum2 = 0.0;
-    for (const size_t r : f.indices) {
-      const size_t b = f.codes[r];
-      reg_hist[b * 3] += 1.0;
-      reg_hist[b * 3 + 1] += f.values[r];
-      reg_hist[b * 3 + 2] += f.values[r] * f.values[r];
-      n += 1.0;
-      sum += f.values[r];
-      sum2 += f.values[r] * f.values[r];
-    }
-    const double mean = sum / n;
-    const double parent_impurity = sum2 / n - mean * mean;
-    for (const double min_leaf : {1.0, 8.0}) {
-      const SplitScan s = internal::RegressionSplitScanScalar(
-          reg_hist.data(), f.bins, n, sum, sum2, min_leaf,
-          parent_impurity);
-      const SplitScan v = internal::RegressionSplitScanAvx2(
-          reg_hist.data(), f.bins, n, sum, sum2, min_leaf,
-          parent_impurity);
-      EXPECT_EQ(s.bin, v.bin) << "rows=" << rows;
-      EXPECT_EQ(s.gain, v.gain) << "rows=" << rows;
-    }
-  }
-}
-
-// --- Flat-predictor walk ---------------------------------------------
-
-TEST(PredictKernelTest, WalkRowsTierInvariantAndMatchesNaive) {
-  LevelGuard guard;
-  // A depth-3 tree over 4 features: 7 internal nodes, 8 leaves packed as
-  // self-loops, exactly how FlatPredictor lays trees out.
-  const uint32_t steps = 3;
-  const size_t stride = 4;
-  std::vector<PackedNode> nodes(15);
-  for (uint32_t i = 0; i < 7; ++i) {
-    nodes[i].feature = static_cast<int32_t>(i % stride);
-    nodes[i].split_bin = static_cast<uint8_t>(40 * (i % 3) + 30);
-    nodes[i].left = 2 * i + 1;
-    nodes[i].right = 2 * i + 2;
-  }
-  for (uint32_t i = 7; i < 15; ++i) {
-    nodes[i].feature = 0;
-    nodes[i].left = i;
-    nodes[i].right = i;
-  }
-  for (const size_t n : kSizes) {
-    std::vector<uint8_t> codes(n * stride);
-    for (size_t i = 0; i < codes.size(); ++i) {
-      codes[i] = static_cast<uint8_t>(
-          static_cast<size_t>(TestUniform(0x81, i) * 997.0) % 128);
-    }
-    std::vector<uint32_t> naive(n, 0), tiered(n, 0);
-    internal::WalkRowsBlocked<1>(nodes.data(), codes.data(), stride, 0,
-                                 steps, n, naive.data());
-    for (const Level level : {Level::kScalar, Level::kAvx2}) {
-      if (!LevelSupported(level)) continue;
-      SetActiveLevel(level);
-      WalkRows(nodes.data(), codes.data(), stride, 0, steps, n,
-               tiered.data());
-      EXPECT_EQ(tiered, naive)
-          << "level=" << LevelName(level) << " n=" << n;
     }
   }
 }

@@ -9,15 +9,15 @@
 #   debug    build + full ctest (all labels) in build/
 #   release  Release build + perf smokes in build-release/: micro_tree
 #            --smoke (tree, shared-binner forest, gbdt booster, and
-#            model-store round-trip serving gates), the SIMD dispatch
-#            smokes (micro_hashing/micro_tree --simd-smoke: AVX2 tiers
+#            model-store round-trip serving gates), the MinHash SIMD
+#            dispatch smoke (micro_hashing --simd-smoke: AVX2 tier
 #            bit-identical + speed floor vs scalar), a forced
 #            EAFE_SIMD=scalar rerun of the simd-labeled ctest suite to
 #            prove the fallback tier stays green, and the pipelined-search
 #            smoke (fig9_scalability --pipeline-smoke: sync and async
-#            executors bit-identical on an n>=10k point, wall clock
-#            compared on multi-core machines, BENCH_pipeline.json line
-#            schema-checked)
+#            executors bit-identical on an n>=10k point, median wall
+#            clock of alternating runs compared on multi-core machines,
+#            BENCH_pipeline.json line schema-checked)
 #   asan     full ctest under AddressSanitizer in build-asan/
 #   ubsan    full ctest under UndefinedBehaviorSanitizer in build-ubsan/
 #   tsan     every test labeled `tsan` under ThreadSanitizer in build-tsan/
@@ -120,20 +120,17 @@ run_release() {
     --target micro_tree micro_hashing eafe_simd_test fig9_scalability \
              bench_schema_check
   "${root}/build-release/bench/micro_tree" --smoke
-  # SIMD dispatch smokes: every forced-AVX2 kernel must return the same
-  # bits as the scalar tier (signatures, class counts, walks; gradient
-  # sums within the documented tolerance) and clear a conservative 1.2x
-  # speed floor on the chain-bound rows. BENCH_simd.json snapshots the
-  # full --simd grids from these two binaries.
+  # SIMD dispatch smoke: the forced-AVX2 MinHash kernels must return the
+  # same signatures as the scalar tier and clear a conservative 1.2x
+  # speed floor. BENCH_simd.json snapshots the full --simd grid.
   "${root}/build-release/bench/micro_hashing" --simd-smoke
-  "${root}/build-release/bench/micro_tree" --simd-smoke
   # Forced-fallback rerun: the simd-labeled dispatch-equivalence tests
   # must stay green with every specialized tier disabled.
   EAFE_SIMD=scalar ctest --test-dir "${root}/build-release" \
     --output-on-failure --timeout 600 -L '^simd$'
   # Pipelined-search smoke: sync and async executors must be bit-identical
-  # on a 10k-sample search; on >=4-core machines async must also not lose
-  # wall clock. The fresh BENCH_pipeline.json line must pass the schema
+  # on a 10k-sample search; on >=4-core machines the median async run
+  # must also not lose wall clock to the median sync run. The fresh BENCH_pipeline.json line must pass the schema
   # gate (sync_seconds/async_seconds/speedup keys).
   rm -f "${root}/BENCH_pipeline.json"
   "${root}/build-release/bench/fig9_scalability" --pipeline-smoke \
