@@ -275,6 +275,7 @@ Result<SearchResult> EafeSearch::Run(const data::Dataset& dataset) {
       }
     }
     EAFE_ASSIGN_OR_RETURN(auto tasks, pipeline.Finish());
+    result.evaluation_seconds += pipeline.prepare_seconds();
 
     // Merge: gains against the running best, greedy accepts (re-checking
     // Contains — two steps of one epoch can generate the same name

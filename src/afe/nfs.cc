@@ -93,6 +93,7 @@ Result<SearchResult> NfsSearch::Run(const data::Dataset& dataset) {
       }
     }
     EAFE_ASSIGN_OR_RETURN(auto tasks, pipeline.Finish());
+    result.evaluation_seconds += pipeline.prepare_seconds();
 
     // Merge: gains against the running best, greedy accepts, then one
     // policy-gradient update per agent on its episode.

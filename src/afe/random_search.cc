@@ -65,6 +65,7 @@ Result<SearchResult> RandomSearch::Run(const data::Dataset& dataset) {
       }
     }
     EAFE_ASSIGN_OR_RETURN(auto tasks, pipeline.Finish());
+    result.evaluation_seconds += pipeline.prepare_seconds();
 
     // Merge in submission order: gains against the running best, greedy
     // accepts into the live space.

@@ -1,5 +1,8 @@
 #include "afe/search.h"
 
+#include <algorithm>
+#include <memory>
+
 #include "core/check.h"
 #include "core/string_util.h"
 
@@ -26,14 +29,24 @@ std::vector<double> BuildAgentState(int last_action, double last_reward,
   return state;
 }
 
+Result<std::string> CandidateColumnName(const data::DataFrame& frame,
+                                        const data::Column& column) {
+  if (frame.CheckNewColumn(column.name(), column.size()).ok()) {
+    return column.name();
+  }
+  std::string renamed = column.name() + "#cand";
+  EAFE_RETURN_NOT_OK(frame.CheckNewColumn(renamed, column.size()));
+  return renamed;
+}
+
 Result<data::Dataset> BuildCandidateDataset(const FeatureSpace& space,
                                             const SpaceFeature& candidate) {
   data::Dataset dataset = space.ToDataset();
   data::Column column = candidate.column;
-  if (!dataset.features.AddColumn(column).ok()) {
-    column.set_name(column.name() + "#cand");
-    EAFE_RETURN_NOT_OK(dataset.features.AddColumn(std::move(column)));
-  }
+  EAFE_ASSIGN_OR_RETURN(std::string name,
+                        CandidateColumnName(dataset.features, column));
+  column.set_name(std::move(name));
+  EAFE_RETURN_NOT_OK(dataset.features.AddColumn(std::move(column)));
   return dataset;
 }
 
@@ -43,16 +56,33 @@ Status FinalizeSearchResult(const SearchOptions& options,
   result->search_score = result->best_score;
   if (!options.honest_final_score) return Status::OK();
   // Two repeats of held-out-seed CV with at least 5 folds: the final
-  // comparison should carry less fold noise than the search itself.
+  // comparison should carry less fold noise than the search itself. The
+  // seed moves only the folds, so each frame is binned once and both
+  // repeats score through the shared bins (when the model can share).
+  const auto honest_options = [&options](uint64_t repeat) {
+    ml::EvaluatorOptions honest = options.evaluator;
+    honest.cv_folds = std::max<size_t>(honest.cv_folds, 5);
+    honest.seed += 7919 + repeat * 104729;
+    return honest;
+  };
+  const ml::TaskEvaluator binning(honest_options(0));
+  EAFE_ASSIGN_OR_RETURN(const auto base_bins, binning.BinFrame(base_dataset));
+  EAFE_ASSIGN_OR_RETURN(const auto best_bins,
+                        binning.BinFrame(result->best_dataset));
+  const auto score = [](const ml::TaskEvaluator& honest,
+                        const data::Dataset& dataset,
+                        const std::shared_ptr<const ml::FeatureBinner>& bins) {
+    return bins != nullptr
+               ? honest.ScoreBinned(dataset.task, dataset.labels, bins)
+               : honest.Score(dataset);
+  };
   double base_total = 0.0;
   double best_total = 0.0;
   for (uint64_t repeat = 0; repeat < 2; ++repeat) {
-    ml::EvaluatorOptions honest_options = options.evaluator;
-    honest_options.cv_folds = std::max<size_t>(honest_options.cv_folds, 5);
-    honest_options.seed += 7919 + repeat * 104729;
-    const ml::TaskEvaluator honest(honest_options);
-    EAFE_ASSIGN_OR_RETURN(double base, honest.Score(base_dataset));
-    EAFE_ASSIGN_OR_RETURN(double best, honest.Score(result->best_dataset));
+    const ml::TaskEvaluator honest(honest_options(repeat));
+    EAFE_ASSIGN_OR_RETURN(double base, score(honest, base_dataset, base_bins));
+    EAFE_ASSIGN_OR_RETURN(double best,
+                          score(honest, result->best_dataset, best_bins));
     base_total += base;
     best_total += best;
   }

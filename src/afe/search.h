@@ -103,9 +103,10 @@ struct SearchResult {
   size_t features_kept = 0;
   double generation_seconds = 0.0;
   /// Cumulative per-candidate evaluation time summed across pipeline
-  /// workers. Under --pipeline=async evaluations overlap, so this can
-  /// exceed total_seconds — compare it across runs as compute spent,
-  /// not as a share of the wall clock.
+  /// workers, plus the base score and each epoch's frame preparation
+  /// (SearchStepPipeline::prepare_seconds). Under --pipeline=async
+  /// evaluations overlap, so this can exceed total_seconds — compare it
+  /// across runs as compute spent, not as a share of the wall clock.
   double evaluation_seconds = 0.0;
   double total_seconds = 0.0;
 };
@@ -137,6 +138,12 @@ constexpr size_t kAgentStateDim = kNumOperators + 3;
 /// candidate column (renamed with a "#cand" suffix on a name collision).
 Result<data::Dataset> BuildCandidateDataset(const FeatureSpace& space,
                                             const SpaceFeature& candidate);
+
+/// The name `column` takes when BuildCandidateDataset appends it to
+/// `frame`: its own, or with the "#cand" suffix when that is refused;
+/// the AddColumn error when the suffixed name is refused too.
+Result<std::string> CandidateColumnName(const data::DataFrame& frame,
+                                        const data::Column& column);
 
 /// Applies the honest-final-score protocol: moves the accumulated greedy
 /// score into `result->search_score` and replaces base/best scores with

@@ -48,19 +48,16 @@ void FilterStage(const StepPipelineConfig& config, StepTask& task) {
 }
 
 /// Eval stage: absolute downstream score of frame + chosen candidate.
-/// Goes through EvalService::ScoreDataset so scores are cached and the
-/// evaluator's request accounting matches the serial path exactly.
-void EvalStage(const FeatureSpace& frame, EvalService& eval_service,
+/// Goes through EvalService::ScoreCandidate against the epoch's prepared
+/// frame, so only the candidate column is binned and hashed, scores are
+/// cached, and the evaluator's request accounting matches the serial
+/// path exactly.
+void EvalStage(const EvalFrame& frame, EvalService& eval_service,
                StepTask& task) {
   if (!task.status.ok() || task.chosen < 0) return;
   Stopwatch watch;
-  auto dataset = BuildCandidateDataset(
+  auto score = eval_service.ScoreCandidate(
       frame, task.attempts[static_cast<size_t>(task.chosen)].candidate);
-  if (!dataset.ok()) {
-    task.status = dataset.status();
-    return;
-  }
-  auto score = eval_service.ScoreDataset(*dataset);
   if (!score.ok()) {
     task.status = score.status();
     return;
@@ -75,6 +72,9 @@ void EvalStage(const FeatureSpace& frame, EvalService& eval_service,
 SearchStepPipeline::SearchStepPipeline(const StepPipelineConfig& config,
                                        const FeatureSpace* frame,
                                        EvalService* eval_service) {
+  Stopwatch prepare_watch;
+  frame_ = eval_service->PrepareFrame(*frame);
+  prepare_seconds_ = prepare_watch.ElapsedSeconds();
   runtime::ThreadPool* pool =
       config.mode == PipelineMode::kAsync ? runtime::GlobalPool() : nullptr;
 
@@ -91,8 +91,8 @@ SearchStepPipeline::SearchStepPipeline(const StepPipelineConfig& config,
   stages[1].workers =
       pool != nullptr && pool->num_threads() > 1 ? pool->num_threads() - 1 : 1;
   stages[1].queue_capacity = config.queue_capacity;
-  stages[1].fn = [frame, eval_service](StepTask& task) {
-    EvalStage(*frame, *eval_service, task);
+  stages[1].fn = [prepared = frame_.get(), eval_service](StepTask& task) {
+    EvalStage(*prepared, *eval_service, task);
   };
 
   runtime::Pipeline<StepTask>::Options pipeline_options;
@@ -118,6 +118,10 @@ Result<std::vector<StepTask>> SearchStepPipeline::Finish() {
   while (auto task = pipeline_->NextOrdered()) {
     tasks.push_back(std::move(*task));
   }
+  // Every stage call has returned once the last task is out; the frame's
+  // bins and table go at the epoch barrier, before the driver mutates
+  // the space.
+  frame_.reset();
   // Surface the first stage failure in submission order so error
   // reporting is independent of scheduling.
   for (const StepTask& task : tasks) {

@@ -103,7 +103,10 @@ struct StepPipelineConfig {
 /// evaluators) with bounded-queue backpressure; otherwise Submit runs
 /// both stages inline. The frame and eval service must outlive the
 /// pipeline, and the driver must not mutate the frame or schedule other
-/// pool work until Finish() returns.
+/// pool work until Finish() returns. Construction prepares the frame for
+/// evaluation once (EvalService::PrepareFrame: one binning and one
+/// signature digest per epoch), so every driver gets the epoch-frame
+/// evaluation path without changes.
 class SearchStepPipeline {
  public:
   SearchStepPipeline(const StepPipelineConfig& config,
@@ -117,6 +120,11 @@ class SearchStepPipeline {
   /// identical either way).
   bool async() const;
 
+  /// Time construction spent preparing the frame (its binning and
+  /// signature digest) — evaluation work done once per epoch on the
+  /// caller thread, which drivers add to SearchResult::evaluation_seconds.
+  double prepare_seconds() const { return prepare_seconds_; }
+
   /// Blocks when the filter stage's queue is full.
   void Submit(StepTask task);
 
@@ -125,7 +133,11 @@ class SearchStepPipeline {
   Result<std::vector<StepTask>> Finish();
 
  private:
+  /// The frame prepared once for the eval stage (bins, signature digest);
+  /// released by Finish().
+  std::unique_ptr<const EvalFrame> frame_;
   std::unique_ptr<runtime::Pipeline<StepTask>> pipeline_;
+  double prepare_seconds_ = 0.0;
   size_t submitted_ = 0;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
 namespace eafe::data {
 
@@ -52,9 +51,11 @@ size_t Column::ReplaceNonFinite(double replacement) {
   return count;
 }
 
-size_t Column::CountDistinct() const {
-  std::unordered_set<double> seen(values_.begin(), values_.end());
-  return seen.size();
+bool Column::IsConstant() const {
+  if (values_.empty()) return true;
+  const double first = values_.front();
+  return std::none_of(values_.begin() + 1, values_.end(),
+                      [first](double v) { return v != first; });
 }
 
 }  // namespace eafe::data

@@ -47,8 +47,9 @@ class Column {
   /// finite inputs.
   size_t ReplaceNonFinite(double replacement = 0.0);
 
-  /// Number of distinct values (exact comparison).
-  size_t CountDistinct() const;
+  /// True when no value differs from the first (an empty column counts
+  /// as constant). O(n) with an early exit on the first differing value.
+  bool IsConstant() const;
 
   bool operator==(const Column& other) const {
     return name_ == other.name_ && values_ == other.values_;

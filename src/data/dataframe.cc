@@ -52,19 +52,24 @@ std::vector<std::string> DataFrame::ColumnNames() const {
   return names;
 }
 
-Status DataFrame::AddColumn(Column column) {
-  if (column.name().empty()) {
+Status DataFrame::CheckNewColumn(const std::string& name,
+                                 size_t size) const {
+  if (name.empty()) {
     return Status::InvalidArgument("column name must be nonempty");
   }
-  if (name_to_index_.count(column.name())) {
-    return Status::AlreadyExists("column '" + column.name() +
-                                 "' already exists");
+  if (name_to_index_.count(name)) {
+    return Status::AlreadyExists("column '" + name + "' already exists");
   }
-  if (!columns_.empty() && column.size() != num_rows()) {
-    return Status::InvalidArgument(StrFormat(
-        "column '%s' has %zu rows, frame has %zu", column.name().c_str(),
-        column.size(), num_rows()));
+  if (!columns_.empty() && size != num_rows()) {
+    return Status::InvalidArgument(
+        StrFormat("column '%s' has %zu rows, frame has %zu", name.c_str(),
+                  size, num_rows()));
   }
+  return Status::OK();
+}
+
+Status DataFrame::AddColumn(Column column) {
+  EAFE_RETURN_NOT_OK(CheckNewColumn(column.name(), column.size()));
   name_to_index_[column.name()] = columns_.size();
   columns_.push_back(std::move(column));
   return Status::OK();
@@ -157,6 +162,14 @@ size_t Dataset::NumClasses() const {
   return classes.size();
 }
 
+Status ValidateFeatureColumn(const Column& column, const std::string& name) {
+  if (column.HasNonFinite()) {
+    return Status::InvalidArgument("column '" + name +
+                                   "' contains non-finite values");
+  }
+  return Status::OK();
+}
+
 Status Dataset::Validate() const {
   if (features.num_columns() == 0) {
     return Status::InvalidArgument("dataset has no feature columns");
@@ -170,10 +183,7 @@ Status Dataset::Validate() const {
     return Status::InvalidArgument("dataset has no rows");
   }
   for (const Column& c : features.columns()) {
-    if (c.HasNonFinite()) {
-      return Status::InvalidArgument("column '" + c.name() +
-                                     "' contains non-finite values");
-    }
+    EAFE_RETURN_NOT_OK(ValidateFeatureColumn(c, c.name()));
   }
   for (double label : labels) {
     if (!std::isfinite(label)) {

@@ -40,6 +40,10 @@ class DataFrame {
   /// disagrees with existing columns.
   Status AddColumn(Column column);
 
+  /// The status AddColumn would return for a column of this name and
+  /// length, without adding anything.
+  Status CheckNewColumn(const std::string& name, size_t size) const;
+
   /// Removes the column at `index`; OutOfRange if invalid.
   Status DropColumn(size_t index);
 
@@ -85,6 +89,12 @@ class DataFrame {
 enum class TaskType { kClassification, kRegression };
 
 std::string TaskTypeToString(TaskType task);
+
+/// OK iff every value of `column` is finite: the per-column check of
+/// Dataset::Validate, for callers that validate a frame once and then one
+/// added column at a time. Errors name the column `name` (its name in the
+/// table being validated).
+Status ValidateFeatureColumn(const Column& column, const std::string& name);
 
 /// A supervised dataset: feature frame + aligned label vector + task type.
 /// Classification labels are nonnegative integers stored as doubles.

@@ -36,6 +36,24 @@ Result<std::vector<double>> CrossValidateScores(
     const ModelFactory& factory, const data::Dataset& dataset,
     const CvOptions& options = {});
 
+/// The same protocol over a frame the caller already binned — with the
+/// factory's model's own SharedBinnerModel::BinFrame, possibly widened by
+/// FeatureBinner::AppendColumn — so one binning serves several CV runs.
+/// Equal, bit for bit, to the dataset overloads on the frame `bins`
+/// encodes: folds depend only on (task, labels, options) and a shared-
+/// binner fit only on the codes and cuts. Skips Dataset::Validate (the
+/// caller validated what it binned). The factory's models must implement
+/// SharedBinnerModel.
+Result<std::vector<double>> CrossValidateScores(
+    const ModelFactory& factory, data::TaskType task,
+    const std::vector<double>& labels,
+    std::shared_ptr<const FeatureBinner> bins, const CvOptions& options = {});
+Result<double> CrossValidateScore(const ModelFactory& factory,
+                                  data::TaskType task,
+                                  const std::vector<double>& labels,
+                                  std::shared_ptr<const FeatureBinner> bins,
+                                  const CvOptions& options = {});
+
 }  // namespace eafe::ml
 
 #endif  // EAFE_ML_CROSS_VALIDATION_H_

@@ -136,14 +136,37 @@ std::unique_ptr<Model> TaskEvaluator::CreateModel(data::TaskType task) const {
   return nullptr;
 }
 
-Result<double> TaskEvaluator::Score(const data::Dataset& dataset) const {
-  evaluation_count_.fetch_add(1, std::memory_order_relaxed);
+CvOptions TaskEvaluator::cv_options() const {
   CvOptions cv;
   cv.folds = options_.cv_folds;
   cv.seed = options_.seed;
+  return cv;
+}
+
+Result<double> TaskEvaluator::Score(const data::Dataset& dataset) const {
+  evaluation_count_.fetch_add(1, std::memory_order_relaxed);
   const data::TaskType task = dataset.task;
   return CrossValidateScore([this, task] { return CreateModel(task); },
-                            dataset, cv);
+                            dataset, cv_options());
+}
+
+Result<std::shared_ptr<const FeatureBinner>> TaskEvaluator::BinFrame(
+    const data::Dataset& dataset) const {
+  EAFE_RETURN_NOT_OK(dataset.Validate());
+  const std::unique_ptr<Model> probe = CreateModel(dataset.task);
+  if (const auto* capable = dynamic_cast<const SharedBinnerModel*>(
+          probe.get())) {
+    return capable->BinFrame(dataset.features);
+  }
+  return std::shared_ptr<const FeatureBinner>();
+}
+
+Result<double> TaskEvaluator::ScoreBinned(
+    data::TaskType task, const std::vector<double>& labels,
+    std::shared_ptr<const FeatureBinner> bins) const {
+  evaluation_count_.fetch_add(1, std::memory_order_relaxed);
+  return CrossValidateScore([this, task] { return CreateModel(task); }, task,
+                            labels, std::move(bins), cv_options());
 }
 
 }  // namespace eafe::ml

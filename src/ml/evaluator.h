@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/status.h"
 #include "data/dataframe.h"
@@ -72,6 +73,22 @@ class TaskEvaluator {
   /// Cross-validated task score of `dataset` (higher is better).
   Result<double> Score(const data::Dataset& dataset) const;
 
+  /// Validates and bins `dataset` exactly as a Score() call would, with
+  /// the configured model's SharedBinnerModel::BinFrame. Null (with OK
+  /// status) when the model cannot share a binner — the exact split
+  /// strategy, linear models, NB/GP, MLP, ResNet — and the caller should
+  /// use Score(). Not counted as an evaluation.
+  Result<std::shared_ptr<const FeatureBinner>> BinFrame(
+      const data::Dataset& dataset) const;
+
+  /// Cross-validated score of a frame binned by BinFrame — possibly
+  /// widened by FeatureBinner::AppendColumn — whose labels are `labels`.
+  /// Equal, bit for bit, to Score() on the dataset the bins encode, and
+  /// counted the same way, so one binning can serve many evaluations.
+  Result<double> ScoreBinned(data::TaskType task,
+                             const std::vector<double>& labels,
+                             std::shared_ptr<const FeatureBinner> bins) const;
+
   /// Builds a fresh downstream model for the task type.
   std::unique_ptr<Model> CreateModel(data::TaskType task) const;
 
@@ -95,6 +112,8 @@ class TaskEvaluator {
   }
 
  private:
+  CvOptions cv_options() const;
+
   EvaluatorOptions options_;
   mutable std::atomic<size_t> evaluation_count_{0};
 };

@@ -70,6 +70,37 @@ std::vector<double> ComputeCuts(const std::vector<double>& sorted,
 
 FeatureBinner::FeatureBinner(const Options& options) : options_(options) {}
 
+std::shared_ptr<const FeatureBinner::BinnedColumn> FeatureBinner::BinColumn(
+    const std::vector<double>& values, std::vector<double>* sorted) const {
+  const size_t n = values.size();
+  if (n > options_.max_cut_samples) {
+    // Wide column: estimate cuts from a deterministic even stride over
+    // the rows (no RNG), sorting only the sample. Sorting the full
+    // column would dominate the whole histogram fit at large n.
+    sorted->resize(options_.max_cut_samples);
+    for (size_t i = 0; i < sorted->size(); ++i) {
+      (*sorted)[i] = values[i * n / sorted->size()];
+    }
+  } else {
+    *sorted = values;
+  }
+  std::sort(sorted->begin(), sorted->end());
+
+  auto column = std::make_shared<BinnedColumn>();
+  column->cuts = ComputeCuts(*sorted, options_.max_bins);
+  const std::vector<double>& cuts = column->cuts;
+  std::vector<uint8_t>& codes = column->codes;
+  codes.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    // First cut >= v is the boundary v sits left of; past-the-end means
+    // the last bin.
+    const size_t bin = static_cast<size_t>(
+        std::lower_bound(cuts.begin(), cuts.end(), values[i]) - cuts.begin());
+    codes[i] = static_cast<uint8_t>(bin);
+  }
+  return column;
+}
+
 Status FeatureBinner::Fit(const data::DataFrame& x) {
   if (x.num_columns() == 0 || x.num_rows() == 0) {
     return Status::InvalidArgument("binner needs a nonempty frame");
@@ -85,42 +116,26 @@ Status FeatureBinner::Fit(const data::DataFrame& x) {
                   options_.max_cut_samples, options_.max_bins));
   }
   g_total_fits.fetch_add(1, std::memory_order_relaxed);
-  const size_t n = x.num_rows();
-  const size_t num_features = x.num_columns();
-  cuts_.assign(num_features, {});
-  codes_.assign(num_features, {});
-
+  columns_.clear();
+  columns_.reserve(x.num_columns());
   std::vector<double> sorted;
-  for (size_t f = 0; f < num_features; ++f) {
-    const std::vector<double>& values = x.column(f).values();
-
-    if (n > options_.max_cut_samples) {
-      // Wide column: estimate cuts from a deterministic even stride over
-      // the rows (no RNG), sorting only the sample. Sorting the full
-      // column would dominate the whole histogram fit at large n.
-      sorted.resize(options_.max_cut_samples);
-      for (size_t i = 0; i < sorted.size(); ++i) {
-        sorted[i] = values[i * n / sorted.size()];
-      }
-    } else {
-      sorted = values;
-    }
-    std::sort(sorted.begin(), sorted.end());
-    cuts_[f] = ComputeCuts(sorted, options_.max_bins);
-
-    const std::vector<double>& cuts = cuts_[f];
-    std::vector<uint8_t>& codes = codes_[f];
-    codes.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      // First cut >= v is the boundary v sits left of; past-the-end means
-      // the last bin.
-      const size_t bin =
-          static_cast<size_t>(std::lower_bound(cuts.begin(), cuts.end(),
-                                               values[i]) -
-                              cuts.begin());
-      codes[i] = static_cast<uint8_t>(bin);
-    }
+  for (const data::Column& column : x.columns()) {
+    columns_.push_back(BinColumn(column.values(), &sorted));
   }
+  return Status::OK();
+}
+
+Status FeatureBinner::AppendColumn(const data::Column& column) {
+  if (!fitted()) {
+    return Status::FailedPrecondition("binner is not fitted");
+  }
+  if (column.size() != num_rows()) {
+    return Status::InvalidArgument(
+        StrFormat("column '%s' has %zu rows, binner holds %zu",
+                  column.name().c_str(), column.size(), num_rows()));
+  }
+  std::vector<double> sorted;
+  columns_.push_back(BinColumn(column.values(), &sorted));
   return Status::OK();
 }
 
@@ -137,7 +152,7 @@ Result<EncodedFrame> FeatureBinner::Encode(const data::DataFrame& x) const {
   EncodedFrame encoded(num_features());
   for (size_t f = 0; f < num_features(); ++f) {
     const std::vector<double>& values = x.column(f).values();
-    const std::vector<double>& cuts = cuts_[f];
+    const std::vector<double>& cuts = columns_[f]->cuts;
     std::vector<uint8_t>& codes = encoded[f];
     codes.resize(n);
     for (size_t i = 0; i < n; ++i) {

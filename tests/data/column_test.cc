@@ -47,11 +47,17 @@ TEST(ColumnTest, NonFiniteDetectionAndRepair) {
   EXPECT_DOUBLE_EQ(col[4], 2.0);
 }
 
-TEST(ColumnTest, CountDistinct) {
-  Column col("x", {1.0, 2.0, 1.0, 3.0, 2.0});
-  EXPECT_EQ(col.CountDistinct(), 3u);
-  Column constant("c", {5.0, 5.0, 5.0});
-  EXPECT_EQ(constant.CountDistinct(), 1u);
+TEST(ColumnTest, IsConstant) {
+  EXPECT_FALSE(Column("x", {1.0, 2.0, 1.0, 3.0, 2.0}).IsConstant());
+  EXPECT_TRUE(Column("c", {5.0, 5.0, 5.0}).IsConstant());
+  EXPECT_TRUE(Column("one", {7.0}).IsConstant());
+  EXPECT_TRUE(Column("empty", {}).IsConstant());
+  // Only the last value differs: the scan must reach the end.
+  EXPECT_FALSE(Column("tail", {4.0, 4.0, 4.0, 4.5}).IsConstant());
+  // Signed zeros compare equal; NaN equals nothing, itself included.
+  EXPECT_TRUE(Column("zeros", {0.0, -0.0, 0.0}).IsConstant());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(Column("nan", {nan, nan}).IsConstant());
 }
 
 TEST(ColumnTest, Equality) {

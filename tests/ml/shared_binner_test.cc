@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <memory>
 #include <vector>
 
 #include "data/dataframe.h"
 #include "ml/cross_validation.h"
 #include "ml/decision_tree.h"
+#include "ml/evaluator.h"
 #include "ml/feature_binner.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
@@ -233,6 +236,154 @@ TEST(SharedBinnerForestTest, WideFrameFitsIdenticalAcrossThreadCounts) {
               serial_forest_pred);
   }
   runtime::SetGlobalThreads(1);
+}
+
+/// Cuts and codes of two fitted binners agree bit for bit.
+void ExpectSameBins(const FeatureBinner& actual, const FeatureBinner& expected) {
+  ASSERT_EQ(actual.num_features(), expected.num_features());
+  ASSERT_EQ(actual.num_rows(), expected.num_rows());
+  for (size_t f = 0; f < expected.num_features(); ++f) {
+    ASSERT_EQ(actual.num_bins(f), expected.num_bins(f)) << "feature " << f;
+    for (size_t b = 0; b + 1 < expected.num_bins(f); ++b) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(actual.cut(f, b)),
+                std::bit_cast<uint64_t>(expected.cut(f, b)))
+          << "feature " << f << " cut " << b;
+    }
+    EXPECT_EQ(actual.codes(f), expected.codes(f)) << "feature " << f;
+  }
+}
+
+/// `dataset` with `column` appended as its last feature.
+data::Dataset Widened(const data::Dataset& dataset, data::Column column) {
+  data::Dataset widened = dataset;
+  EXPECT_TRUE(widened.features.AddColumn(std::move(column)).ok());
+  return widened;
+}
+
+/// Candidate columns covering every binning path: a 7-value grid
+/// (lossless at 255 bins), continuous values (quantile cuts), a
+/// two-valued column (lossless even at 2 bins) and a constant.
+std::vector<data::Column> AppendCandidates(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> grid(n), continuous(n), binary(n);
+  for (size_t i = 0; i < n; ++i) {
+    grid[i] = static_cast<double>(rng.UniformInt(7)) * 0.5;
+    continuous[i] = rng.Normal() * 3.0;
+    binary[i] = rng.Bernoulli(0.3) ? 1.0 : -1.0;
+  }
+  return {data::Column("grid", grid), data::Column("continuous", continuous),
+          data::Column("binary", binary),
+          data::Column("constant", std::vector<double>(n, 2.5))};
+}
+
+// Binning is per column and deterministic, so widening a frame's binner
+// by one column must reproduce Fit on the widened frame exactly — on the
+// full-sort path (n <= max_cut_samples = 4096) and the strided-sample
+// path (n > 4096), at both ends of the bin budget.
+TEST(EpochFrameBinsTest, AppendColumnMatchesFitOnWidenedFrame) {
+  for (size_t max_bins : {size_t{2}, size_t{255}}) {
+    for (size_t n : {size_t{1500}, size_t{6000}}) {
+      SCOPED_TRACE(::testing::Message() << "max_bins " << max_bins << " n "
+                                        << n);
+      const data::Dataset frame = MakeWide(n, 3, 71 + n);
+      FeatureBinner::Options options;
+      options.max_bins = max_bins;
+      FeatureBinner frame_bins(options);
+      ASSERT_TRUE(frame_bins.Fit(frame.features).ok());
+      for (const data::Column& column : AppendCandidates(n, 72 + n)) {
+        SCOPED_TRACE(column.name());
+        FeatureBinner extended = frame_bins;
+        ASSERT_TRUE(extended.AppendColumn(column).ok());
+        FeatureBinner reference(options);
+        ASSERT_TRUE(reference.Fit(Widened(frame, column).features).ok());
+        ExpectSameBins(extended, reference);
+      }
+      // The shared frame binner itself is untouched.
+      EXPECT_EQ(frame_bins.num_features(), 3u);
+    }
+  }
+}
+
+TEST(EpochFrameBinsTest, AppendColumnDoesNotCountAsFit) {
+  const data::Dataset frame = MakeWide(800, 4, 73);
+  FeatureBinner::ResetTotalFits();
+  FeatureBinner frame_bins;
+  ASSERT_TRUE(frame_bins.Fit(frame.features).ok());
+  for (const data::Column& column : AppendCandidates(800, 74)) {
+    FeatureBinner extended = frame_bins;
+    ASSERT_TRUE(extended.AppendColumn(column).ok());
+  }
+  EXPECT_EQ(FeatureBinner::TotalFits(), 1u);
+}
+
+TEST(EpochFrameBinsTest, AppendColumnRejectsUnfittedAndMisalignedInput) {
+  FeatureBinner unfitted;
+  EXPECT_EQ(unfitted.AppendColumn(data::Column("c", {1.0, 2.0})).code(),
+            StatusCode::kFailedPrecondition);
+  const data::Dataset frame = MakeWide(50, 2, 75);
+  FeatureBinner frame_bins;
+  ASSERT_TRUE(frame_bins.Fit(frame.features).ok());
+  EXPECT_EQ(frame_bins.AppendColumn(data::Column("c", {1.0, 2.0})).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(frame_bins.num_features(), 2u);
+}
+
+// The CV score through frame bins widened by one column equals
+// TaskEvaluator::Score on the widened dataset exactly, for every model
+// that shares a binner, on both tasks; models that cannot share get no
+// bins.
+TEST(EpochFrameBinsTest, CvThroughAppendedBinsMatchesScoreOnWidenedDataset) {
+  const data::Dataset classification = MakeWide(600, 3, 76);
+  data::Dataset regression_frame = classification;
+  regression_frame.task = data::TaskType::kRegression;
+  for (size_t i = 0; i < regression_frame.labels.size(); ++i) {
+    regression_frame.labels[i] = classification.features.column(0)[i] *
+                                 classification.features.column(2)[i];
+  }
+  const data::Dataset& regression = regression_frame;
+  for (const data::Dataset* frame : {&classification, &regression}) {
+    // The product the frame's trees cannot express on their own.
+    std::vector<double> product(frame->num_rows());
+    for (size_t i = 0; i < product.size(); ++i) {
+      product[i] = frame->features.column(0)[i] * frame->features.column(2)[i];
+    }
+    const data::Column candidate("w0*w2", product);
+    const data::Dataset widened = Widened(*frame, candidate);
+    for (ModelKind kind :
+         {ModelKind::kRandomForest, ModelKind::kDecisionTree,
+          ModelKind::kGradientBoostedTrees}) {
+      SCOPED_TRACE(ModelKindToString(kind) + " " +
+                   data::TaskTypeToString(frame->task));
+      EvaluatorOptions options;
+      options.model = kind;
+      options.cv_folds = 4;
+      options.rf_trees = 6;
+      options.rf_max_depth = 5;
+      options.gbdt_rounds = 12;
+      options.max_bins = 32;
+      options.seed = 9;
+      const TaskEvaluator evaluator(options);
+      auto frame_bins = evaluator.BinFrame(*frame).ValueOrDie();
+      ASSERT_NE(frame_bins, nullptr);
+      auto extended = std::make_shared<FeatureBinner>(*frame_bins);
+      ASSERT_TRUE(extended->AppendColumn(candidate).ok());
+      const double expected = evaluator.Score(widened).ValueOrDie();
+      const double actual =
+          evaluator.ScoreBinned(frame->task, frame->labels, extended)
+              .ValueOrDie();
+      EXPECT_EQ(std::bit_cast<uint64_t>(actual),
+                std::bit_cast<uint64_t>(expected));
+      EXPECT_EQ(evaluator.evaluation_count(), 2u);
+    }
+  }
+  EvaluatorOptions exact;
+  exact.split_strategy = SplitStrategy::kExact;
+  EXPECT_EQ(TaskEvaluator(exact).BinFrame(classification).ValueOrDie(),
+            nullptr);
+  EvaluatorOptions linear;
+  linear.model = ModelKind::kLogisticRegression;
+  EXPECT_EQ(TaskEvaluator(linear).BinFrame(classification).ValueOrDie(),
+            nullptr);
 }
 
 }  // namespace
