@@ -23,6 +23,7 @@
 #include "hashing/minhash.h"
 #include "hashing/sample_compressor.h"
 #include "hashing/weighted_minhash.h"
+#include "runtime/thread_pool.h"
 #include "simd/simd.h"
 
 namespace eafe::hashing {
@@ -113,6 +114,9 @@ void PrintSimdRow(MinHashScheme scheme, size_t rows, size_t dimension,
 }
 
 int RunSimdRows(bool smoke) {
+  // WeightedMinHashSelect fans its slots out over the global pool; pin it
+  // to one thread so the rows compare the kernel tiers, not pool scaling.
+  runtime::SetGlobalThreads(1);
   const size_t dimension = 48;
   const bool have_avx2 = simd::LevelSupported(simd::Level::kAvx2);
   if (!have_avx2) {

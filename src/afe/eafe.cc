@@ -142,8 +142,10 @@ Result<SearchResult> EafeSearch::Run(const data::Dataset& dataset) {
 
   // Stage 1: quick initialization with the FPE model (kFull only;
   // kPolicyGradient ablates the two-stage strategy, kRandomDrop has no
-  // model to initialize from). Serial: its feedback loop is the cheap
-  // FPE probe itself, so there is nothing to overlap.
+  // model to initialize from). The steps run in order on this thread:
+  // each reward and accept feeds the next step's agent state and space.
+  // The parallelism is inside each FPE probe, whose MinHash slots fan
+  // out over the global pool (no pipeline is open yet).
   if (options_.variant == Variant::kFull && options_.stage1_epochs > 0) {
     Stopwatch stage1_watch;
     EAFE_RETURN_NOT_OK(RunStage1(dataset, &agents, &rng, &result));

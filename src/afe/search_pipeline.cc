@@ -9,9 +9,9 @@
 namespace eafe::afe {
 namespace {
 
-/// Filter stage: pick the first attempt that passes the configured
+/// Filter step: pick the first attempt that passes the configured
 /// pre-evaluation filter. Pure in (config, task) — kRandomDrop verdicts
-/// were pre-drawn in the generation stage and FpeModel::PredictProbability
+/// were pre-drawn at generation time and FpeModel::PredictProbability
 /// is const — so concurrent execution cannot change which attempt wins.
 void FilterStage(const StepPipelineConfig& config, StepTask& task) {
   if (!task.status.ok() || task.skipped) return;
@@ -47,7 +47,7 @@ void FilterStage(const StepPipelineConfig& config, StepTask& task) {
   }
 }
 
-/// Eval stage: absolute downstream score of frame + chosen candidate.
+/// Evaluation step: absolute downstream score of frame + chosen candidate.
 /// Goes through EvalService::ScoreCandidate against the epoch's prepared
 /// frame, so only the candidate column is binned and hashed, scores are
 /// cached, and the evaluator's request accounting matches the serial
@@ -78,20 +78,20 @@ SearchStepPipeline::SearchStepPipeline(const StepPipelineConfig& config,
   runtime::ThreadPool* pool =
       config.mode == PipelineMode::kAsync ? runtime::GlobalPool() : nullptr;
 
-  std::vector<runtime::Pipeline<StepTask>::StageSpec> stages(2);
-  stages[0].name = "filter";
-  stages[0].workers = 1;
+  // One stage: each worker filters its task and then evaluates the
+  // survivor. The filter's share of the work ranges from none (NFS) to
+  // about a third of an evaluation per candidate (E-AFE at 10k rows), so
+  // any fixed split of threads between the two idles some of them. The
+  // workers together occupy the whole pool for the epoch; nested
+  // ParallelFor inside a stage call (MinHash slots, CV folds, trees)
+  // detects the pool worker and runs inline.
+  std::vector<runtime::Pipeline<StepTask>::StageSpec> stages(1);
+  stages[0].name = "eval";
+  stages[0].workers = pool != nullptr ? pool->num_threads() : 1;
   stages[0].queue_capacity = config.queue_capacity;
-  stages[0].fn = [config](StepTask& task) { FilterStage(config, task); };
-  stages[1].name = "eval";
-  // Evaluation dominates (Table I), so it gets every remaining pool
-  // thread. The stage workers together occupy the whole pool for the
-  // epoch; nested ParallelFor inside an evaluation detects the pool
-  // worker and runs inline.
-  stages[1].workers =
-      pool != nullptr && pool->num_threads() > 1 ? pool->num_threads() - 1 : 1;
-  stages[1].queue_capacity = config.queue_capacity;
-  stages[1].fn = [prepared = frame_.get(), eval_service](StepTask& task) {
+  stages[0].fn = [config, prepared = frame_.get(),
+                  eval_service](StepTask& task) {
+    FilterStage(config, task);
     EvalStage(*prepared, *eval_service, task);
   };
 

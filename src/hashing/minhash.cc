@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/check.h"
+#include "runtime/thread_pool.h"
 #include "simd/minhash_kernels.h"
 #include "simd/portable_math.h"
 
@@ -42,6 +43,20 @@ std::vector<size_t> PlainMinHashSelect(const std::vector<double>& weights,
     selected[j] = support[simd::PlainHashArgmin(support.data(),
                                                 support.size(), seed, j)];
   }
+  return selected;
+}
+
+std::vector<size_t> UniformMinHashSelect(size_t n, size_t num_slots,
+                                         uint64_t seed) {
+  EAFE_CHECK_GT(n, 0u);
+  std::vector<size_t> selected(num_slots);
+  runtime::ParallelFor(runtime::GlobalPool(), num_slots,
+                       [&](size_t begin, size_t end) {
+                         for (size_t j = begin; j < end; ++j) {
+                           selected[j] =
+                               simd::PlainHashArgmin(nullptr, n, seed, j);
+                         }
+                       });
   return selected;
 }
 

@@ -26,6 +26,13 @@ double MixUniform(uint64_t seed, uint64_t slot, uint64_t element,
 std::vector<size_t> PlainMinHashSelect(const std::vector<double>& weights,
                                        size_t num_slots, uint64_t seed);
 
+/// Min-wise hashing over the positions [0, n): slot j selects
+/// argmin_i MixHash(seed, j, i), so every position is equally likely.
+/// The slots fan out over the global thread pool (inline on a pool
+/// worker); the result does not depend on the thread count.
+std::vector<size_t> UniformMinHashSelect(size_t n, size_t num_slots,
+                                         uint64_t seed);
+
 /// Fraction of slots whose selections agree — the MinHash estimate of the
 /// Jaccard similarity between the two hashed sets. Sizes must match.
 double EstimateJaccard(const std::vector<size_t>& selection_a,

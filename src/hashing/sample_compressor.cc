@@ -33,8 +33,8 @@ std::vector<double> SampleCompressor::NormalizeWeights(
   return weights;
 }
 
-Result<std::vector<size_t>> SampleCompressor::SelectIndices(
-    const std::vector<double>& values) const {
+Result<std::vector<double>> SampleCompressor::CheckedWeights(
+    const std::vector<double>& values) {
   if (values.empty()) {
     return Status::InvalidArgument("cannot compress an empty feature");
   }
@@ -44,15 +44,21 @@ Result<std::vector<size_t>> SampleCompressor::SelectIndices(
           "feature contains non-finite values; clean before compressing");
     }
   }
-  const std::vector<double> weights = NormalizeWeights(values);
+  return NormalizeWeights(values);
+}
+
+Result<std::vector<size_t>> SampleCompressor::SelectIndices(
+    const std::vector<double>& values) const {
+  EAFE_ASSIGN_OR_RETURN(std::vector<double> weights, CheckedWeights(values));
   return WeightedMinHashSelect(options_.scheme, weights, options_.dimension,
                                options_.seed);
 }
 
 Result<std::vector<double>> SampleCompressor::Compress(
     const std::vector<double>& values) const {
-  EAFE_ASSIGN_OR_RETURN(std::vector<size_t> indices, SelectIndices(values));
-  const std::vector<double> weights = NormalizeWeights(values);
+  EAFE_ASSIGN_OR_RETURN(std::vector<double> weights, CheckedWeights(values));
+  const std::vector<size_t> indices = WeightedMinHashSelect(
+      options_.scheme, weights, options_.dimension, options_.seed);
   std::vector<double> signature(indices.size());
   for (size_t j = 0; j < indices.size(); ++j) {
     signature[j] = weights[indices[j]];
@@ -64,19 +70,11 @@ Result<std::vector<double>> SampleCompressor::Compress(
     // Unbiased companion sketch: min-wise hashing over row indices picks
     // each row uniformly, so these slots sample the value distribution
     // without the weight-proportional bias of consistent sampling.
-    std::vector<double> uniform(options_.extra_uniform_slots);
-    for (size_t j = 0; j < uniform.size(); ++j) {
-      size_t best = 0;
-      uint64_t best_hash = MixHash(options_.seed ^ 0xA5A5A5A5ULL, j, 0);
-      for (size_t i = 1; i < weights.size(); ++i) {
-        const uint64_t h = MixHash(options_.seed ^ 0xA5A5A5A5ULL, j, i);
-        if (h < best_hash) {
-          best_hash = h;
-          best = i;
-        }
-      }
-      uniform[j] = weights[best];
-    }
+    const std::vector<size_t> rows = UniformMinHashSelect(
+        weights.size(), options_.extra_uniform_slots,
+        options_.seed ^ 0xA5A5A5A5ULL);
+    std::vector<double> uniform(rows.size());
+    for (size_t j = 0; j < rows.size(); ++j) uniform[j] = weights[rows[j]];
     if (options_.sort_signature) {
       std::sort(uniform.begin(), uniform.end());
     }

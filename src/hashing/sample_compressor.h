@@ -71,6 +71,11 @@ class SampleCompressor {
       const std::vector<double>& values);
 
  private:
+  /// NormalizeWeights after rejecting empty or non-finite input; the one
+  /// normalization both SelectIndices and Compress run.
+  static Result<std::vector<double>> CheckedWeights(
+      const std::vector<double>& values);
+
   CompressorOptions options_;
 };
 

@@ -7,6 +7,7 @@
 #include "core/check.h"
 #include "core/string_util.h"
 #include "hashing/minhash.h"
+#include "runtime/thread_pool.h"
 #include "simd/minhash_kernels.h"
 #include "simd/portable_math.h"
 
@@ -118,15 +119,21 @@ std::vector<double> LogWeights(const std::vector<double>& weights) {
   return logs;
 }
 
-/// One consistent sample with the per-element constants precomputed.
-/// `log_weights` may be empty for schemes that do not use it (CCWS).
-/// The min-reduction runs in the dispatched kernel; the winning
-/// element's quantization index is recomputed once here.
+/// Aborts on a negative weight. Run once per feature by the public entry
+/// points, not once per slot.
+void CheckNonNegative(const std::vector<double>& weights) {
+  for (double w : weights) EAFE_CHECK_GE(w, 0.0);
+}
+
+/// One consistent sample with the per-element constants precomputed and
+/// the weights already checked nonnegative. `log_weights` may be empty
+/// for schemes that do not use it (CCWS). The min-reduction runs in the
+/// dispatched kernel; the winning element's quantization index is
+/// recomputed once here.
 CwsSample ConsistentSampleImpl(MinHashScheme scheme,
                                const std::vector<double>& weights,
                                const std::vector<double>& log_weights,
                                size_t slot, uint64_t seed) {
-  for (double w : weights) EAFE_CHECK_GE(w, 0.0);
   const double* logs = log_weights.empty() ? nullptr : log_weights.data();
   const size_t k = simd::CwsArgmin(KernelScheme(scheme), weights.data(),
                                    logs, weights.size(), seed, slot);
@@ -164,6 +171,7 @@ CwsSample ConsistentSample(MinHashScheme scheme,
   EAFE_CHECK(!weights.empty());
   EAFE_CHECK(scheme != MinHashScheme::kPlain);
   EAFE_CHECK(scheme != MinHashScheme::kExactQuantile);
+  CheckNonNegative(weights);
   const std::vector<double> log_weights =
       UsesLogWeights(scheme) ? LogWeights(weights) : std::vector<double>();
   return ConsistentSampleImpl(scheme, weights, log_weights, slot, seed);
@@ -186,25 +194,32 @@ std::vector<size_t> WeightedMinHashSelect(MinHashScheme scheme,
       break;
     }
   }
-  std::vector<size_t> selected(num_slots);
   if (!any_positive) {
     // Degenerate all-zero feature: fall back to uniform hashing so the
     // signature is still defined.
-    for (size_t j = 0; j < num_slots; ++j) {
-      selected[j] =
-          simd::PlainHashArgmin(nullptr, weights.size(), seed, j);
-    }
-    return selected;
+    return UniformMinHashSelect(weights.size(), num_slots, seed);
   }
+  // Once per feature. Only sampling needs nonnegative weights, so the
+  // all-zero fallback above and a zero-slot call skip the check.
+  if (num_slots > 0) CheckNonNegative(weights);
   // Hoist the per-element derived constants (log(weight) for the
   // log-quantizing schemes) out of the per-slot loop: they are identical
   // for all d hash functions.
   const std::vector<double> log_weights =
       UsesLogWeights(scheme) ? LogWeights(weights) : std::vector<double>();
-  for (size_t j = 0; j < num_slots; ++j) {
-    selected[j] =
-        ConsistentSampleImpl(scheme, weights, log_weights, j, seed).element;
-  }
+  // The d slots are independent hash functions and slot j writes only
+  // selected[j], so they fan out over the global pool with results
+  // identical at any thread count. On a pool worker (a pipeline stage,
+  // the server executor) the loop runs inline.
+  std::vector<size_t> selected(num_slots);
+  runtime::ParallelFor(
+      runtime::GlobalPool(), num_slots, [&](size_t begin, size_t end) {
+        for (size_t j = begin; j < end; ++j) {
+          selected[j] =
+              ConsistentSampleImpl(scheme, weights, log_weights, j, seed)
+                  .element;
+        }
+      });
   return selected;
 }
 

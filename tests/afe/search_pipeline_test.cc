@@ -1,7 +1,7 @@
 // Sync-vs-async equivalence sweep for the pipelined search (DESIGN.md
 // §12): for every driver, --pipeline=async must produce bit-identical
 // results to the synchronous oracle at any thread count. The sweep runs
-// threads in {1, 4, 16}; the global pool is rebuilt per point, and the
+// threads in {1, 2, 4, 16}; the global pool is rebuilt per point, and the
 // suite restores the serial default afterwards so other tests are
 // unaffected.
 
@@ -129,7 +129,7 @@ class SearchPipelineEquivalence
 TEST_P(SearchPipelineEquivalence, AsyncMatchesSyncOracleAtAnyThreads) {
   const std::string method = GetParam();
   const SearchResult oracle = RunMethod(method, PipelineMode::kSync, 1);
-  for (size_t threads : {size_t{1}, size_t{4}, size_t{16}}) {
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{16}}) {
     SCOPED_TRACE(method + " threads=" + std::to_string(threads));
     const SearchResult async = RunMethod(method, PipelineMode::kAsync, threads);
     ExpectBitIdentical(oracle, async);
@@ -158,8 +158,9 @@ TEST(SearchPipelineTest, AsyncRunPublishesQueueGauges) {
   runtime::SetGlobalMetrics(nullptr);
   EXPECT_GT(result.features_generated, 0u);
   const std::string exposition = gateway.TextExposition();
-  EXPECT_NE(exposition.find("eafe_pipeline_filter_queue_depth"),
-            std::string::npos);
+  // Filtering runs inside the eval stage's workers; there is no
+  // separate filter stage to instrument.
+  EXPECT_EQ(exposition.find("eafe_pipeline_filter_"), std::string::npos);
   EXPECT_NE(exposition.find("eafe_pipeline_eval_queue_depth"),
             std::string::npos);
   EXPECT_NE(exposition.find("eafe_pipeline_eval_items_total"),

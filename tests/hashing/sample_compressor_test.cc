@@ -8,6 +8,7 @@
 
 #include "core/rng.h"
 #include "hashing/minhash.h"
+#include "runtime/thread_pool.h"
 
 namespace eafe::hashing {
 namespace {
@@ -132,6 +133,39 @@ TEST(SampleCompressorTest, ErrorsOnBadInput) {
       compressor.Compress({1.0, std::numeric_limits<double>::quiet_NaN()})
           .ok());
   EXPECT_FALSE(compressor.EstimateSimilarity({1.0}, {1.0, 2.0}).ok());
+}
+
+TEST(SampleCompressorTest, CompressIsThreadCountInvariant) {
+  // Compress and SelectIndices, including the extra uniform slots, give
+  // identical output at every pool size and nested inside a pool worker.
+  CompressorOptions options;
+  options.extra_uniform_slots = 48;
+  SampleCompressor compressor(options);
+  const std::vector<std::vector<double>> features = {
+      RandomFeature(1, 3), RandomFeature(7, 5), RandomFeature(10000, 9),
+      std::vector<double>(50, 2.5)};
+  const auto run_all = [&] {
+    std::vector<std::vector<double>> out;
+    for (const std::vector<double>& values : features) {
+      out.push_back(compressor.Compress(values).ValueOrDie());
+      const std::vector<size_t> indices =
+          compressor.SelectIndices(values).ValueOrDie();
+      for (size_t index : indices) {
+        out.back().push_back(static_cast<double>(index));
+      }
+    }
+    return out;
+  };
+  runtime::SetGlobalThreads(1);
+  const auto serial = run_all();
+  for (size_t threads : {size_t{4}, size_t{16}}) {
+    runtime::SetGlobalThreads(threads);
+    EXPECT_EQ(run_all(), serial) << "threads=" << threads;
+  }
+  std::vector<std::vector<double>> nested;
+  runtime::GlobalPool()->Submit([&] { nested = run_all(); }).get();
+  EXPECT_EQ(nested, serial) << "inside a pool worker";
+  runtime::SetGlobalThreads(0);  // Back to the process default.
 }
 
 TEST(SampleCompressorTest, AllSchemesCompress) {

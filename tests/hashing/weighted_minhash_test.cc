@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "core/rng.h"
 #include "hashing/minhash.h"
+#include "runtime/thread_pool.h"
 
 namespace eafe::hashing {
 namespace {
@@ -140,6 +142,66 @@ TEST(WeightedMinHashTest, AllZeroWeightsFallBack) {
       WeightedMinHashSelect(MinHashScheme::kIcws, weights, 32, 5);
   ASSERT_EQ(selected.size(), 32u);
   for (size_t s : selected) EXPECT_LT(s, 10u);
+}
+
+TEST(WeightedMinHashTest, SelectionIsThreadCountInvariant) {
+  // The d slots fan out over the global pool; each slot writes only its
+  // own entry, so the selection must not depend on the pool size or on
+  // whether the call runs nested inside a pool worker (inline).
+  struct Input {
+    std::vector<double> weights;
+    size_t slots;
+  };
+  std::vector<Input> inputs;
+  for (size_t n : {size_t{1}, size_t{7}, size_t{10000}}) {
+    Rng rng(n);
+    std::vector<double> weights(n);
+    for (double& w : weights) {
+      w = rng.Bernoulli(0.2) ? 0.0 : rng.Uniform(0.0, 1.0);
+    }
+    weights[0] = 0.5;  // At least one positive weight.
+    for (size_t slots : {size_t{1}, size_t{3}, size_t{48}, size_t{64}}) {
+      inputs.push_back({weights, slots});
+      // The all-zero fallback hashes uniformly over the elements.
+      inputs.push_back({std::vector<double>(n, 0.0), slots});
+    }
+  }
+  const auto select_all = [&inputs](MinHashScheme scheme) {
+    std::vector<std::vector<size_t>> out;
+    for (const Input& input : inputs) {
+      out.push_back(
+          WeightedMinHashSelect(scheme, input.weights, input.slots, 29));
+    }
+    return out;
+  };
+  for (MinHashScheme scheme : AllMinHashSchemes()) {
+    SCOPED_TRACE(MinHashSchemeToString(scheme));
+    runtime::SetGlobalThreads(1);
+    const auto serial = select_all(scheme);
+    for (size_t threads : {size_t{4}, size_t{16}}) {
+      runtime::SetGlobalThreads(threads);
+      EXPECT_EQ(select_all(scheme), serial) << "threads=" << threads;
+    }
+    std::vector<std::vector<size_t>> nested;
+    runtime::GlobalPool()
+        ->Submit([&] {
+          ASSERT_TRUE(runtime::ThreadPool::OnWorkerThread());
+          nested = select_all(scheme);
+        })
+        .get();
+    EXPECT_EQ(nested, serial) << "inside a pool worker";
+  }
+  runtime::SetGlobalThreads(0);  // Back to the process default.
+}
+
+TEST(WeightedMinHashDeathTest, NegativeWeightAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<double> weights = {0.4, -0.1, 0.7};
+  EXPECT_DEATH(
+      (void)WeightedMinHashSelect(MinHashScheme::kCcws, weights, 48, 1),
+      "EAFE_CHECK failed");
+  EXPECT_DEATH((void)ConsistentSample(MinHashScheme::kIcws, weights, 0, 1),
+               "EAFE_CHECK failed");
 }
 
 TEST(WeightedMinHashTest, LicwsDropsQuantization) {
